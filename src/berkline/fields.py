@@ -17,6 +17,11 @@ arithmetic, and elements are plain values.
 Magnitudes come back as :class:`berkline.exponents.Magnitude` values in
 log scale, so ``valuation(p) == rho**1`` for ``PAdicField(p)`` and
 ``valuation(t) == rho**1`` for any Puiseux backend.
+
+Two methods serve the disc computations of the polynomial layer:
+``taylor_shift_coeffs`` (every field, base fields included) and
+``trim_center`` (the valued backends), which returns a center of the
+same disc with everything of size at most the radius removed.
 """
 
 from __future__ import annotations
@@ -24,26 +29,75 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 from typing import Optional, Tuple, Union
 
 from .errors import DomainError, ParseError
 from .exponents import EXP_ZERO, Exponent, Magnitude
 
 
+# Miller-Rabin with the first thirteen primes as bases decides primality
+# exactly below this bound (Sorenson & Webster, "Strong pseudoprimes to
+# twelve prime bases", Math. Comp. 2017); above it no answer is given.
+PRIME_LIMIT = 3317044064679887385961981
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin primality test for ``n < PRIME_LIMIT``.
+
+    Larger ``n`` raise :class:`DomainError` rather than risk a wrong
+    verdict or an unbounded search.
+    """
+    if n >= PRIME_LIMIT:
+        raise DomainError(f"primality is decided only below {PRIME_LIMIT}")
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
+
+
+def _synthetic_shift(k, coeffs, a) -> list:
+    """Coefficients of ``f(T + a)`` from those of ``f``, low degree first.
+
+    Classic synthetic-division sweep: ``a`` is folded in one row at a
+    time, so the cost is quadratic in the degree with no binomials.
+    """
+    cs = list(coeffs)
+    n = len(cs)
+    for i in range(n):
+        for j in range(n - 2, i - 1, -1):
+            cs[j] = k.add(cs[j], k.mul(a, cs[j + 1]))
+    return cs
+
+
+class _GenericShift:
+    """Taylor shifts through the field's own ``add`` and ``mul``."""
+
+    def taylor_shift_coeffs(self, coeffs, a) -> list:
+        return _synthetic_shift(self, coeffs, a)
+
+
+def _below(q: Fraction, e: Exponent) -> bool:
+    """Exact ``q < e`` for a rational ``q``, without building an
+    :class:`Exponent` when ``e`` is rational too."""
+    return q < e.a if e.b == 0 else Exponent(q) < e
 
 
 # ---------------------------------------------------------------------
@@ -51,7 +105,7 @@ def _is_prime(n: int) -> bool:
 
 
 @dataclass(frozen=True)
-class Rationals:
+class Rationals(_GenericShift):
     """The rational numbers as a coefficient or residue field."""
 
     @property
@@ -81,6 +135,10 @@ class Rationals:
 
     def mul(self, x, y):
         return x * y
+
+    def fma(self, x, y, z):
+        """``x + y*z`` in one call, for inner loops."""
+        return x + y * z
 
     def neg(self, x):
         return -x
@@ -113,7 +171,7 @@ class Rationals:
 
 
 @dataclass(frozen=True)
-class PrimeField:
+class PrimeField(_GenericShift):
     """The prime field F_p; elements are ints reduced into [0, p)."""
 
     p: int
@@ -149,6 +207,10 @@ class PrimeField:
 
     def mul(self, x, y):
         return (x * y) % self.p
+
+    def fma(self, x, y, z):
+        """``x + y*z`` in one call, for inner loops."""
+        return (x + y * z) % self.p
 
     def neg(self, x):
         return (-x) % self.p
@@ -191,11 +253,20 @@ def parse_base_field(name: str) -> BaseField:
         return QQ
     m = re.match(r"^F(\d+)$", name)
     if m:
-        try:
-            return PrimeField(int(m.group(1)))
-        except DomainError as exc:
-            raise ParseError("base field", name, str(exc)) from None
+        return PrimeField(_parse_prime(m.group(1), "base field", name))
     raise ParseError("base field", name)
+
+
+def _parse_prime(digits: str, rule: str, original: str) -> int:
+    """A prime written in decimal.  A composite is a grammar error; a
+    number too large to decide raises :class:`DomainError`."""
+    try:
+        p = int(digits)
+    except ValueError:  # beyond the interpreter's digit limit
+        raise DomainError(f"primality is decided only below {PRIME_LIMIT}") from None
+    if not _is_prime(p):
+        raise ParseError(rule, original, f"{p} is not prime")
+    return p
 
 
 # ---------------------------------------------------------------------
@@ -203,7 +274,7 @@ def parse_base_field(name: str) -> BaseField:
 
 
 @dataclass(frozen=True)
-class PAdicField:
+class PAdicField(_GenericShift):
     """Q with the p-adic valuation; ``|p| = rho`` in log scale."""
 
     p: int
@@ -280,6 +351,17 @@ class PAdicField:
             return Magnitude.zero()
         v = self._vp(x.numerator if x > 0 else -x.numerator) - self._vp(x.denominator)
         return Magnitude.finite(Exponent(v))
+
+    def trim_center(self, a, r: Magnitude):
+        """A center of ``E(a, r)``: zero when ``|a| <= r``, else ``a``.
+
+        Exact because ``|a - 0| <= r`` makes ``E(a, r) = E(0, r)``.
+        """
+        if a == 0 or r.is_zero:
+            return a
+        x = Fraction(a)
+        v = self._vp(abs(x.numerator)) - self._vp(x.denominator)
+        return a if _below(v, r.exponent) else self.zero
 
     def residue(self, x) -> int:
         """Image in F_p of an element with ``|x| <= 1``."""
@@ -400,6 +482,68 @@ class PuiseuxField:
                 acc[g] = self.base.add(acc.get(g, self.base.zero), prod)
         return self._normalize(acc)
 
+    def taylor_shift_coeffs(self, coeffs, a) -> list:
+        """Synthetic-division shift on integer exponent keys.
+
+        Every exponent of the coefficients and of ``a`` is scaled by
+        their common denominator ``D``, so each row is a dict from int
+        to base-field coefficient and every fold of ``a`` into a row is
+        a fused multiply-add over the base field.  Zeros are dropped
+        once per row update, and exponents go back to ``Fraction`` once
+        at the end; the result is the same as the generic sweep.
+        """
+        base = self.base
+        mul, fma, is_zero = base.mul, base.fma, base.is_zero
+        d = 1
+        for x in (a, *coeffs):
+            for g, _ in x:
+                d = lcm(d, g.denominator)
+        shift = [(g.numerator * (d // g.denominator), c) for g, c in a]
+        rows = [
+            {g.numerator * (d // g.denominator): c for g, c in x} for x in coeffs
+        ]
+        n = len(rows)
+        for i in range(n):
+            for j in range(n - 2, i - 1, -1):
+                src = rows[j + 1]
+                if not src:
+                    continue
+                row = rows[j]
+                for ga, ca in shift:
+                    for gs, cs in src.items():
+                        key = ga + gs
+                        old = row.get(key)
+                        row[key] = mul(ca, cs) if old is None else fma(old, ca, cs)
+                rows[j] = {g: c for g, c in row.items() if not is_zero(c)}
+        exps: dict = {}
+        out = []
+        for row in rows:
+            terms = []
+            for g in sorted(row):
+                e = exps.get(g)
+                if e is None:
+                    e = exps[g] = Fraction(g, d)
+                terms.append((e, row[g]))
+            out.append(tuple(terms))
+        return out
+
+    def trim_center(self, a: PuiseuxElem, r: Magnitude) -> PuiseuxElem:
+        """The canonical center of ``E(a, r)``: the terms of ``a`` with
+        exponent below ``e_r``, where ``r = rho**e_r``.
+
+        Exact because every dropped term has magnitude at most ``r``, so
+        their sum does too and ``E(a, r) = E(a', r)``.  Two centers of
+        one disc differ only in such terms, so they trim to the same
+        prefix.
+        """
+        if r.is_zero:
+            return a
+        e = r.exponent
+        n = 0
+        while n < len(a) and _below(a[n][0], e):
+            n += 1
+        return a[:n]
+
     def inv(self, x: PuiseuxElem) -> PuiseuxElem:
         if not x:
             raise DomainError("division by zero")
@@ -502,7 +646,10 @@ class PuiseuxField:
             r"^(?P<coef>.+?\*|[+-]?)?t(?:\^\((?P<g>-?\d+(?:/\d+)?)\))?$", term
         )
         if m and "t" in term:
-            g = Fraction(m.group("g")) if m.group("g") else Fraction(1)
+            try:
+                g = Fraction(m.group("g")) if m.group("g") else Fraction(1)
+            except ZeroDivisionError:
+                raise ParseError("puiseux element", original, "zero denominator") from None
             coef = m.group("coef") or ""
             coef = coef.rstrip("*")
             if coef in ("", "+"):
@@ -551,7 +698,7 @@ def _split_terms(s: str, rule: str, original: str):
 
 
 @dataclass(frozen=True)
-class TrivialField:
+class TrivialField(_GenericShift):
     """A base field carrying the trivial valuation."""
 
     base: BaseField
@@ -616,6 +763,10 @@ class TrivialField:
     def residue(self, x):
         return x
 
+    def trim_center(self, a, r: Magnitude):
+        """Zero when ``|a| <= r`` (then ``E(a, r) = E(0, r)``), else ``a``."""
+        return self.zero if self.valuation(a) <= r else a
+
     def residue_of_quotient(self, x, m):
         if self.base.is_zero(m):
             raise DomainError("division by zero")
@@ -650,10 +801,7 @@ def parse_field(selector: str) -> ValuedField:
     if kind == "padic":
         if not re.match(r"^\d+$", arg):
             raise ParseError("field selector", selector, "prime expected")
-        try:
-            return PAdicField(int(arg))
-        except DomainError as exc:
-            raise ParseError("field selector", selector, str(exc)) from None
+        return PAdicField(_parse_prime(arg, "field selector", selector))
     base = parse_base_field(arg)
     return PuiseuxField(base) if kind == "puiseux" else TrivialField(base)
 

@@ -37,7 +37,7 @@ from .line import (
     point_leq,
     top_vertex,
 )
-from .polynomials import Poly, squarefree_decomposition, taylor_shift
+from .polynomials import Poly, disc_expansion, squarefree_decomposition
 
 
 def _reject_residue_char_2(field: ValuedField) -> None:
@@ -86,10 +86,11 @@ class BranchData:
 
 
 def _term_exponents(f: Poly, x: DiscPoint):
-    """Exponents of |f_i| * r**i for the expansion of f at the center of
-    x; None entries mark vanishing coefficients."""
+    """Exponents of |f_i| * r**i for the expansion of f at a center of
+    x (the trimmed one of :func:`disc_expansion`); None entries mark
+    vanishing coefficients."""
     k = f.field
-    g = taylor_shift(f, x.center) if not k.is_zero(x.center) else f
+    g = disc_expansion(f, x.center, x.radius)
     e_r = x.radius.exponent
     out = []
     for i, c in enumerate(g.coeffs):

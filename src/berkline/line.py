@@ -37,7 +37,7 @@ from .exponents import (
     parse_exponent,
 )
 from .fields import ValuedField
-from .polynomials import Poly, hasse_derivative, taylor_shift
+from .polynomials import Poly, disc_expansion, hasse_derivative
 
 
 # ---------------------------------------------------------------------
@@ -203,9 +203,14 @@ def seminorm_is_exact(x: Point) -> bool:
 def _disc_eval(f: Poly, center, radius: Magnitude) -> Magnitude:
     """Sup norm of ``f`` over ``E(center, radius)``: shift, then take
     the largest ``|f_i| * r**i``; in log scale that is the smallest
-    ``e_i + i*e_r`` over the nonzero coefficients."""
+    ``e_i + i*e_r`` over the nonzero coefficients.
+
+    The value depends on the disc alone, and ``E(a, r) = E(a', r)``
+    whenever ``|a - a'| <= r``, so the shift runs on the trimmed center
+    of :func:`disc_expansion` (none at all when it trims to zero).  The
+    answer is the same exact value as with the full shift."""
     k = f.field
-    g = taylor_shift(f, center) if not k.is_zero(center) else f
+    g = disc_expansion(f, center, radius)
     best: Optional[Exponent] = None
     e_r = radius.exponent
     for i, c in enumerate(g.coeffs):

@@ -111,16 +111,31 @@ class Poly:
 def taylor_shift(f: Poly, a) -> Poly:
     """Expand ``f`` around ``a``: the polynomial ``g`` with g(T) = f(T + a).
 
-    Classic synthetic-division sweep: ``a`` is folded in one row at a
-    time, so the cost is quadratic in the degree with no binomials.
+    The field runs the classic synthetic-division sweep (von zur Gathen
+    and Gerhard, *Modern Computer Algebra*, ch. 10): ``a`` is folded in
+    one row at a time, so the cost is quadratic in the degree with no
+    binomials.  Puiseux fields run it on integer exponent keys; the
+    others through their own ``add`` and ``mul``.  Either way the result
+    is exact.  Callers that only need ``f`` on a disc ``E(a, r)`` should
+    use :func:`disc_expansion`, which shifts by a trimmed center.
     """
     k = f.field
-    cs = list(f.coeffs)
-    n = len(cs)
-    for i in range(n):
-        for j in range(n - 2, i - 1, -1):
-            cs[j] = k.add(cs[j], k.mul(a, cs[j + 1]))
-    return Poly.make(k, cs)
+    return Poly.make(k, k.taylor_shift_coeffs(f.coeffs, a))
+
+
+def disc_expansion(f: Poly, a, r: Magnitude) -> Poly:
+    """``f`` expanded around a center of the disc ``E(a, r)``.
+
+    Trimming lemma: ``E(a, r) = E(a', r)`` whenever ``|a - a'| <= r``,
+    and everything this library reads off an expansion on a disc (the
+    seminorm ``max |g_i| r**i``, root counts, the dominant term and the
+    residue polynomial up to translation) depends on the disc alone.
+    So the shift uses ``trim_center(a, r)``, which drops the part of
+    ``a`` of size at most ``r``; when nothing is left no shift runs.
+    """
+    k = f.field
+    a = k.trim_center(a, r)
+    return f if k.is_zero(a) else taylor_shift(f, a)
 
 
 def derivative(f: Poly) -> Poly:
@@ -207,10 +222,17 @@ def _lower_hull(pts):
 
 
 def count_roots_in_disc(f: Poly, a, r: Magnitude) -> int:
-    """Number of roots (with multiplicity) with ``|root - a| <= r``."""
+    """Number of roots (with multiplicity) with ``|root - a| <= r``.
+
+    The roots of ``f(T + a')`` are those of ``f`` moved by ``-a'``, and
+    for any center ``a'`` of the same disc (``|a - a'| <= r``) the disc
+    ``E(a, r)`` moves onto ``E(0, r)``.  So the Newton slopes are read
+    from :func:`disc_expansion`, which shifts by the trimmed center and
+    skips the shift when that center is zero; the count is exact.
+    """
     if f.is_zero:
         raise DomainError("the zero polynomial has no root data")
-    shifted = taylor_shift(f, a)
+    shifted = disc_expansion(f, a, r)
     return sum(1 for m in newton_slopes(shifted) if m <= r)
 
 

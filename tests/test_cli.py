@@ -155,6 +155,37 @@ def test_parse_failures_exit_3():
     )
 
 
+def test_zero_exponent_denominator_exits_3():
+    for argv in (
+        ["elliptic", "--field", "puiseux:Q", "--lambda=t^(1/0)"],
+        ["hyper", "--field", "puiseux:Q", "--roots=t^(1/0),1,2"],
+    ):
+        code, out, err = invoke(argv)
+        assert code == 3, argv
+        assert out == ""
+        assert err == (
+            "parse error [puiseux element]: cannot parse 'puiseux element' from "
+            "'t^(1/0)': zero denominator\n"
+        )
+
+
+def test_large_prime_moduli():
+    # 2^61 - 1 is prime; trial division would not finish on it
+    code, out, err = invoke(
+        ["classify", "--field", "padic:2305843009213693951", "disc(0; 1/2)"]
+    )
+    assert (code, err) == (0, "")
+    assert '"type": 2' in out
+    code, out, err = invoke(
+        ["classify", "--field", "padic:3317044064679887385961981", "disc(0; 1/2)"]
+    )
+    assert (code, out) == (4, "")
+    assert err == (
+        "precondition violated: primality is decided only below "
+        "3317044064679887385961981\n"
+    )
+
+
 def test_precondition_failures_exit_4():
     code, out, err = invoke(
         ["path", "--field", "padic:5", "chain[(1;0),(2;5)]", "pt1(1)"]

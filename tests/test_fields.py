@@ -19,6 +19,7 @@ from berkline import (
     parse_field,
     ultrametric_check,
 )
+from berkline.fields import PRIME_LIMIT, _is_prime
 from helpers import LSER, Q5, rand_element
 
 
@@ -214,3 +215,42 @@ def test_residue_char_and_value_group():
     assert LSER.residue_char == 0
     assert LSER.value_group_gen == Exponent(1)
     assert PuiseuxField(PrimeField(3)).char == 3
+
+
+def _trial_division(n: int) -> bool:
+    return n >= 2 and all(n % f for f in range(2, int(n**0.5) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(10**4) if _is_prime(n)] == [
+        n for n in range(10**4) if _trial_division(n)
+    ]
+
+
+def test_is_prime_rejects_pseudoprimes():
+    carmichael = (561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265, 321197185)
+    strong = (
+        2047,  # strong pseudoprime to base 2
+        3215031751,  # to bases 2, 3, 5, 7
+        3825123056546413051,  # to every prime base up to 23
+        318665857834031151167461,  # to every prime base up to 37
+    )
+    for n in carmichael + strong:
+        assert not _is_prime(n), n
+
+
+def test_is_prime_large_inputs():
+    assert _is_prime(2305843009213693951)  # 2^61 - 1
+    assert _is_prime(10**24 + 7)
+    assert _is_prime(3317044064679887385961813)  # the largest prime below the limit
+    assert not _is_prime(10**24 + 9)
+    assert not _is_prime(2305843009213693951 * 3)
+    # the limit itself fools all thirteen bases, so it is refused
+    for n in (PRIME_LIMIT, PRIME_LIMIT * 7, 2**127 - 1):
+        with pytest.raises(DomainError):
+            _is_prime(n)
+    with pytest.raises(DomainError):
+        PAdicField(2**127 - 1)
+    with pytest.raises(DomainError):
+        parse_field("padic:3317044064679887385961981")
+    assert parse_field("padic:2305843009213693951") == PAdicField(2305843009213693951)

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 import pytest
 
@@ -13,6 +13,8 @@ from berkline import (
     Poly,
     PrimeField,
     PuiseuxField,
+    QQ,
+    TrivialField,
     count_roots_in_disc,
     format_poly,
     hasse_derivative,
@@ -24,6 +26,7 @@ from berkline import (
     squarefree_part,
     taylor_shift,
 )
+from berkline.fields import _synthetic_shift
 from helpers import LSER, Q5, rand_element, rand_poly
 
 
@@ -44,31 +47,92 @@ def test_taylor_shift_frozen():
     )
 
 
+# Exponents with denominators 1..5, so a random element's common
+# denominator with the rest of a shift is usually above 1.
+_MIXED_GAMMAS = sorted({Fraction(k, d) for d in (1, 2, 3, 4, 5) for k in range(-6, 12)})
+SHIFT_FIELDS = (Q5, LSER, PuiseuxField(PrimeField(2)), PuiseuxField(PrimeField(3)))
+
+
+def _mixed_element(rng, field, nonzero=False):
+    if not isinstance(field, PuiseuxField):
+        return rand_element(rng, field, nonzero)
+    acc = field.zero
+    for g in rng.sample(_MIXED_GAMMAS, rng.randint(1 if nonzero else 0, 3)):
+        acc = field.add(acc, field.monomial(g, field.base.from_int(rng.choice([1, 2, -3, 5]))))
+    return field.one if nonzero and field.is_zero(acc) else acc
+
+
+def _mixed_poly(rng, field, deg):
+    coeffs = [_mixed_element(rng, field) for _ in range(deg)]
+    return Poly.make(field, coeffs + [_mixed_element(rng, field, nonzero=True)])
+
+
+def _common_denominator(f, a):
+    d = 1
+    for x in (a, *f.coeffs):
+        for g, _ in x:
+            d = lcm(d, g.denominator)
+    return d
+
+
+def _shift_cases(rng, field, count, max_deg):
+    """Random (f, a) pairs whose degrees run up to ``max_deg``."""
+    for n in range(count):
+        deg = max_deg if n == 0 else rng.randint(0, max_deg)
+        yield _mixed_poly(rng, field, deg), _mixed_element(rng, field)
+
+
 def test_taylor_shift_matches_binomial_oracle():
     rng = random.Random(23)
-    for field in (Q5, LSER):
-        for _ in range(40):
-            f = rand_poly(rng, field, max_deg=7)
-            a = rand_element(rng, field)
+    wide = 0
+    for field in SHIFT_FIELDS:
+        for f, a in _shift_cases(rng, field, 14, 16):
             shifted = taylor_shift(f, a)
+            if isinstance(field, PuiseuxField):
+                wide += _common_denominator(f, a) > 1
             # g_j = sum_i C(i, j) f_i a^(i-j), straight from expanding (T+a)^i
+            powers = [field.one]
+            for _ in range(f.degree):
+                powers.append(field.mul(powers[-1], a))
             for j in range(f.degree + 1):
                 acc = field.zero
                 for i in range(j, f.degree + 1):
                     term = field.mul(f.coefficient(i), field.from_int(comb(i, j)))
-                    for _ in range(i - j):
-                        term = field.mul(term, a)
-                    acc = field.add(acc, term)
+                    acc = field.add(acc, field.mul(term, powers[i - j]))
                 assert shifted.coefficient(j) == acc
+            # the integer-key kernel and the generic sweep agree term for term
+            assert list(shifted.coeffs) == _synthetic_shift(field, f.coeffs, a)
+    assert wide >= 30
 
 
 def test_taylor_shift_roundtrip():
     rng = random.Random(29)
-    for field in (Q5, LSER):
-        for _ in range(40):
-            f = rand_poly(rng, field, max_deg=8)
-            a = rand_element(rng, field)
+    for field in SHIFT_FIELDS:
+        for f, a in _shift_cases(rng, field, 30, 16):
             assert taylor_shift(taylor_shift(f, a), field.neg(a)) == f
+
+
+@pytest.mark.parametrize(
+    "field, modulus",
+    [(Q5, None), (QQ, None), (TrivialField(PrimeField(7)), 7), (PrimeField(7), 7)],
+    ids=["padic5", "Q", "trivial-F7", "F7"],
+)
+def test_taylor_shift_matches_sympy(field, modulus):
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(59)
+    for _ in range(25):
+        nums = [rng.randint(-30, 30) for _ in range(rng.randint(0, 16))] + [1]
+        if modulus is None:
+            coeffs = [Fraction(n, rng.choice([1, 2, 3, 5])) for n in nums]
+            a = Fraction(rng.randint(-9, 9), rng.choice([1, 2, 7]))
+            ref = sympy.Poly(coeffs[::-1], sympy.Symbol("x"), domain=sympy.QQ)
+            expected = [Fraction(int(c.p), int(c.q)) for c in ref.shift(a).all_coeffs()]
+        else:
+            coeffs = [n % modulus for n in nums]
+            a = rng.randrange(modulus)
+            ref = sympy.Poly(coeffs[::-1], sympy.Symbol("x"), modulus=modulus)
+            expected = [int(c) % modulus for c in ref.shift(a).all_coeffs()]
+        assert list(taylor_shift(Poly.make(field, coeffs), a).coeffs) == expected[::-1]
 
 
 def test_hasse_derivative_frozen():
