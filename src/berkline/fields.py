@@ -18,10 +18,11 @@ Magnitudes come back as :class:`berkline.exponents.Magnitude` values in
 log scale, so ``valuation(p) == rho**1`` for ``PAdicField(p)`` and
 ``valuation(t) == rho**1`` for any Puiseux backend.
 
-Two methods serve the disc computations of the polynomial layer:
-``taylor_shift_coeffs`` (every field, base fields included) and
-``trim_center`` (the valued backends), which returns a center of the
-same disc with everything of size at most the radius removed.
+Three methods serve the polynomial layer: ``taylor_shift_coeffs`` and
+``mul_coeffs`` (every field, base fields included; Puiseux fields run
+both on integer exponent keys) and ``trim_center`` (the valued
+backends), which returns a center of the same disc with everything of
+size at most the radius removed.
 """
 
 from __future__ import annotations
@@ -87,11 +88,55 @@ def _synthetic_shift(k, coeffs, a) -> list:
     return cs
 
 
-class _GenericShift:
-    """Taylor shifts through the field's own ``add`` and ``mul``."""
+class _GenericKernels:
+    """Taylor shifts and products through the field's own ``add`` and ``mul``."""
 
     def taylor_shift_coeffs(self, coeffs, a) -> list:
         return _synthetic_shift(self, coeffs, a)
+
+    def mul_coeffs(self, xs, ys) -> list:
+        """Schoolbook product of two nonempty coefficient lists."""
+        out = [self.zero] * (len(xs) + len(ys) - 1)
+        for i, a in enumerate(xs):
+            if self.is_zero(a):
+                continue
+            for j, b in enumerate(ys):
+                out[i + j] = self.add(out[i + j], self.mul(a, b))
+        return out
+
+
+def _vp_int(m: int, p: int) -> int:
+    """The exponent of ``p`` in the nonzero integer ``m``."""
+    v = 0
+    while m % p == 0:
+        m //= p
+        v += 1
+    return v
+
+
+def _vp(x: Fraction, p: int) -> int:
+    """The p-adic valuation of the nonzero rational ``x``."""
+    return _vp_int(x.numerator, p) - _vp_int(x.denominator, p)
+
+
+def _int_keys(elems):
+    """The common denominator ``d`` of the exponents of Puiseux elements,
+    and each element's terms with exponents scaled by ``d`` to ints."""
+    d = 1
+    for x in elems:
+        for g, _ in x:
+            d = lcm(d, g.denominator)
+    return d, [[(g.numerator * (d // g.denominator), c) for g, c in x] for x in elems]
+
+
+def _from_int_keys(rows, d, is_zero) -> list:
+    """Puiseux elements from int-keyed term dicts scaled by ``d``, zeros
+    dropped; each distinct key becomes a ``Fraction`` once."""
+    exps = {g: Fraction(g, d) for g in {g for row in rows for g in row}}
+    return [
+        tuple((exps[g], row[g]) for g in sorted(row) if not is_zero(row[g]))
+        for row in rows
+    ]
 
 
 def _below(q: Fraction, e: Exponent) -> bool:
@@ -105,7 +150,7 @@ def _below(q: Fraction, e: Exponent) -> bool:
 
 
 @dataclass(frozen=True)
-class Rationals(_GenericShift):
+class Rationals(_GenericKernels):
     """The rational numbers as a coefficient or residue field."""
 
     @property
@@ -171,7 +216,7 @@ class Rationals(_GenericShift):
 
 
 @dataclass(frozen=True)
-class PrimeField(_GenericShift):
+class PrimeField(_GenericKernels):
     """The prime field F_p; elements are ints reduced into [0, p)."""
 
     p: int
@@ -274,7 +319,7 @@ def _parse_prime(digits: str, rule: str, original: str) -> int:
 
 
 @dataclass(frozen=True)
-class PAdicField(_GenericShift):
+class PAdicField(_GenericKernels):
     """Q with the p-adic valuation; ``|p| = rho`` in log scale."""
 
     p: int
@@ -337,19 +382,12 @@ class PAdicField(_GenericShift):
     def is_zero(self, x) -> bool:
         return x == 0
 
-    def _vp(self, n: int) -> int:
-        v = 0
-        while n % self.p == 0:
-            n //= self.p
-            v += 1
-        return v
-
     def valuation(self, x) -> Magnitude:
         """``rho**(v_p(num) - v_p(den))``, or zero for ``x == 0``."""
         x = Fraction(x)
         if x == 0:
             return Magnitude.zero()
-        v = self._vp(x.numerator if x > 0 else -x.numerator) - self._vp(x.denominator)
+        v = _vp_int(x.numerator, self.p) - _vp_int(x.denominator, self.p)
         return Magnitude.finite(Exponent(v))
 
     def trim_center(self, a, r: Magnitude):
@@ -359,9 +397,7 @@ class PAdicField(_GenericShift):
         """
         if a == 0 or r.is_zero:
             return a
-        x = Fraction(a)
-        v = self._vp(abs(x.numerator)) - self._vp(x.denominator)
-        return a if _below(v, r.exponent) else self.zero
+        return a if _below(_vp(Fraction(a), self.p), r.exponent) else self.zero
 
     def residue(self, x) -> int:
         """Image in F_p of an element with ``|x| <= 1``."""
@@ -494,14 +530,8 @@ class PuiseuxField:
         """
         base = self.base
         mul, fma, is_zero = base.mul, base.fma, base.is_zero
-        d = 1
-        for x in (a, *coeffs):
-            for g, _ in x:
-                d = lcm(d, g.denominator)
-        shift = [(g.numerator * (d // g.denominator), c) for g, c in a]
-        rows = [
-            {g.numerator * (d // g.denominator): c for g, c in x} for x in coeffs
-        ]
+        d, (shift, *rows) = _int_keys((a, *coeffs))
+        rows = [dict(row) for row in rows]
         n = len(rows)
         for i in range(n):
             for j in range(n - 2, i - 1, -1):
@@ -515,17 +545,25 @@ class PuiseuxField:
                         old = row.get(key)
                         row[key] = mul(ca, cs) if old is None else fma(old, ca, cs)
                 rows[j] = {g: c for g, c in row.items() if not is_zero(c)}
-        exps: dict = {}
-        out = []
-        for row in rows:
-            terms = []
-            for g in sorted(row):
-                e = exps.get(g)
-                if e is None:
-                    e = exps[g] = Fraction(g, d)
-                terms.append((e, row[g]))
-            out.append(tuple(terms))
-        return out
+        return _from_int_keys(rows, d, is_zero)
+
+    def mul_coeffs(self, xs, ys) -> list:
+        """Schoolbook product on the integer keys of
+        :meth:`taylor_shift_coeffs`, one base-field ``fma`` per term pair;
+        the terms are those of the product through ``add`` and ``mul``."""
+        base = self.base
+        mul, fma = base.mul, base.fma
+        d, keyed = _int_keys((*xs, *ys))
+        out = [{} for _ in range(len(xs) + len(ys) - 1)]
+        for i, x in enumerate(keyed[: len(xs)]):
+            for j, y in enumerate(keyed[len(xs):]):
+                row = out[i + j]
+                for ga, ca in x:
+                    for gb, cb in y:
+                        key = ga + gb
+                        old = row.get(key)
+                        row[key] = mul(ca, cb) if old is None else fma(old, ca, cb)
+        return _from_int_keys(out, d, base.is_zero)
 
     def trim_center(self, a: PuiseuxElem, r: Magnitude) -> PuiseuxElem:
         """The canonical center of ``E(a, r)``: the terms of ``a`` with
@@ -698,7 +736,7 @@ def _split_terms(s: str, rule: str, original: str):
 
 
 @dataclass(frozen=True)
-class TrivialField(_GenericShift):
+class TrivialField(_GenericKernels):
     """A base field carrying the trivial valuation."""
 
     base: BaseField

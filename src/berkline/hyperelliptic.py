@@ -20,10 +20,10 @@ ramified there and none of the parity reasoning applies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from typing import List, Tuple, Union
 
 from .errors import DomainError
-from .exponents import INF, Exponent, Magnitude
+from .exponents import INF, Exponent
 from .fields import ValuedField
 from .line import (
     DiscPoint,
@@ -34,8 +34,6 @@ from .line import (
     Type1Point,
     classify,
     convex_hull,
-    point_leq,
-    top_vertex,
 )
 from .polynomials import Poly, disc_expansion, squarefree_decomposition
 
@@ -212,86 +210,92 @@ class _UnionFind:
             self.parent[ra] = rb
 
 
+def _roots_below(hull: SkeletonGraph) -> List[int]:
+    """Number of marked leaves (the roots) in each vertex's subtree,
+    from one pass down the tree and the sums back up."""
+    kids: List[List[int]] = [[] for _ in hull.vertices]
+    for e in hull.edges:
+        kids[e.v].append(e.u)
+    children = {e.u for e in hull.edges}
+    order = [next(v.id for v in hull.vertices if v.id not in children)]
+    for vid in order:
+        order.extend(kids[vid])
+    below = [0] * len(hull.vertices)
+    for vid in reversed(order):
+        below[vid] = (vid in hull.marked) + sum(below[c] for c in kids[vid])
+    return below
+
+
+def _doubled_edges(fibers, edges, split):
+    """The doubled graph: ``fibers[v]`` copies of vertex ``v``, and per
+    edge two copies when split and one otherwise.  Returns the number
+    of vertex copies and the edge copies ``(a, b, length)``.
+
+    A split edge maps to ``(us[i % len(us)], vs[i % len(vs)])`` for
+    ``i`` in (0, 1), which wires copies in parallel or fans one copy out
+    to both.  A non-split edge needs single-fiber endpoints, since every
+    edge at a two-fiber vertex is split.
+    """
+    copy_ids = []
+    n = 0
+    for f in fibers:
+        copy_ids.append(range(n, n + f))
+        n += f
+    out = []
+    for e, is_split in zip(edges, split):
+        us, vs = copy_ids[e.u], copy_ids[e.v]
+        if is_split:
+            out += [(us[i % len(us)], vs[i % len(vs)], e.length) for i in (0, 1)]
+        elif len(us) != 1 or len(vs) != 1:
+            raise DomainError("non-split edge at a two-fiber vertex")
+        else:
+            out.append((us[0], vs[0], e.length))
+    return n, out
+
+
 def cover_skeleton(bd: BranchData) -> CoverSkeleton:
+    """The hull of the roots, plus a ray to infinity for odd degree,
+    decorated with fiber counts, edge splits and genera.
+
+    Every parity below is read off the number of roots under each
+    vertex, which :func:`_roots_below` sums in one pass over the hull:
+    the roots are its marked leaves.
+    """
     k = bd.f.field
-    root_points = [Type1Point(k, r) for r in bd.roots]
-    hull = convex_hull(root_points)
+    hull = convex_hull([Type1Point(k, r) for r in bd.roots])
+    below = _roots_below(hull)
 
     vertices = list(hull.vertices)
     edges = list(hull.edges)
     if bd.infinity_branch:
-        apex = top_vertex(hull)
+        apex = below.index(bd.degree)  # the one vertex above every root
         inf_id = len(vertices)
         vertices.append(SkeletonVertex(inf_id, None, 1, 0))
-        edges.append(SkeletonEdge(apex.id, inf_id, INF))
-
-    total = bd.total_branch_points
-
-    def below(vid: int) -> int:
-        pt = vertices[vid].point
-        if pt is None:
-            return bd.degree
-        return sum(1 for rp in root_points if point_leq(rp, pt))
+        edges.append(SkeletonEdge(apex, inf_id, INF))
+        below.append(bd.degree)
 
     # m(v) = number of directions at v carrying an odd count of branch
     # points: one direction per incident edge (the downward ones hold
     # everything below the child, the upward one holds the rest,
     # including infinity), plus nothing for branch points sitting at v
     # itself.
-    fibers: List[int] = []
-    genera: List[int] = []
+    total = bd.total_branch_points
+    m = [0] * len(vertices)
+    has_up = [False] * len(vertices)
+    for e in edges:
+        m[e.v] += below[e.u] % 2
+        m[e.u] += (total - below[e.u]) % 2
+        has_up[e.u] = True
     for v in vertices:
-        m = 0
-        has_up = False
-        for e in edges:
-            if e.v == v.id:
-                if below(e.u) % 2 == 1:
-                    m += 1
-            elif e.u == v.id:
-                has_up = True
-                if (total - below(v.id)) % 2 == 1:
-                    m += 1
-        if v.point is not None and not has_up and (total - below(v.id)) % 2 == 1:
+        if v.point is not None and not has_up[v.id]:
             # the top vertex still has an outward direction toward
             # infinity even when no ray was added
-            m += 1
-        fibers.append(2 if m == 0 else 1)
-        genera.append(max(m // 2 - 1, 0))
+            m[v.id] += (total - below[v.id]) % 2
+    fibers = [2 if x == 0 else 1 for x in m]
+    genera = [max(x // 2 - 1, 0) for x in m]
+    split = [below[e.u] % 2 == 0 for e in edges]
 
-    split = [below(e.u) % 2 == 0 for e in edges]
-
-    # Doubled graph: each vertex contributes `fibers` copies, each edge
-    # two copies when split and one otherwise.  A non-split edge always
-    # has two single-fiber endpoints (every edge at a two-fiber vertex
-    # is split), so the wiring below is exhaustive.
-    copy_ids = {}
-    n_copies = 0
-    for v in vertices:
-        copy_ids[v.id] = list(range(n_copies, n_copies + fibers[v.id]))
-        n_copies += fibers[v.id]
-
-    doubled_edges = []
-    for e, is_split in zip(edges, split):
-        us = copy_ids[e.u]
-        vs = copy_ids[e.v]
-        if is_split:
-            if len(us) == 2 and len(vs) == 2:
-                doubled_edges.append((us[0], vs[0], e.length))
-                doubled_edges.append((us[1], vs[1], e.length))
-            elif len(us) == 1 and len(vs) == 2:
-                doubled_edges.append((us[0], vs[0], e.length))
-                doubled_edges.append((us[0], vs[1], e.length))
-            elif len(us) == 2 and len(vs) == 1:
-                doubled_edges.append((us[0], vs[0], e.length))
-                doubled_edges.append((us[1], vs[0], e.length))
-            else:
-                doubled_edges.append((us[0], vs[0], e.length))
-                doubled_edges.append((us[0], vs[0], e.length))
-        else:
-            if len(us) != 1 or len(vs) != 1:
-                raise DomainError("non-split edge at a two-fiber vertex")
-            doubled_edges.append((us[0], vs[0], e.length))
-
+    n_copies, doubled_edges = _doubled_edges(fibers, edges, split)
     uf = _UnionFind(n_copies)
     for a, b, _ in doubled_edges:
         uf.union(a, b)
@@ -321,26 +325,7 @@ def tate_cycle_exponent(cs: CoverSkeleton) -> Exponent:
     """
     if cs.betti != 1:
         raise DomainError("cycle extraction needs first Betti number 1")
-    copy_ids = {}
-    n = 0
-    for v in cs.base.vertices:
-        copy_ids[v.id] = list(range(n, n + cs.vertex_fibers[v.id]))
-        n += cs.vertex_fibers[v.id]
-    edge_list = []
-    for e, is_split in zip(cs.base.edges, cs.edge_split):
-        us, vs = copy_ids[e.u], copy_ids[e.v]
-        if is_split:
-            if len(us) == 2 and len(vs) == 2:
-                edge_list += [(us[0], vs[0], e.length), (us[1], vs[1], e.length)]
-            elif len(us) == 1 and len(vs) == 2:
-                edge_list += [(us[0], vs[0], e.length), (us[0], vs[1], e.length)]
-            elif len(us) == 2 and len(vs) == 1:
-                edge_list += [(us[0], vs[0], e.length), (us[1], vs[0], e.length)]
-            else:
-                edge_list += [(us[0], vs[0], e.length), (us[0], vs[0], e.length)]
-        else:
-            edge_list.append((us[0], vs[0], e.length))
-
+    _, edge_list = _doubled_edges(cs.vertex_fibers, cs.base.edges, cs.edge_split)
     alive = [True] * len(edge_list)
     while True:
         deg = {}

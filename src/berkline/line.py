@@ -462,90 +462,89 @@ class SkeletonGraph:
         return "\n".join(lines)
 
 
-def _strictly_below(x: Point, y: Point) -> bool:
-    return point_leq(x, y) and not point_eq(x, y)
-
-
-def _recentre_on_inputs(v: Point, pts) -> Point:
-    if not isinstance(v, DiscPoint):
-        return v
-    k = v.field
-    best = None
-    for p in pts:
-        c = _anchor(p)[0]
-        if k.valuation(k.sub(c, v.center)) <= v.radius:
-            text = k.format_element(c)
-            if best is None or text < best[0]:
-                best = (text, c)
-    return v if best is None else DiscPoint(k, best[1], v.radius)
-
-
 def convex_hull(points) -> SkeletonGraph:
-    """Minimal subtree spanning the given points.
+    """Minimal subtree spanning the given points: their cluster tree.
 
-    Vertices are the inputs plus all pairwise joins (deduplicated);
-    each non-root vertex is wired to the smallest vertex strictly above
-    it, which is well defined because everything above a point forms a
-    nested chain of discs.  Leaf edges down to radius-zero points carry
-    infinite length.
+    Each input ``x`` stands for its disc ``E(a_x, r_x)`` (``r_x = 0`` for
+    type 1), and ``D(x, y) = max(r_x, r_y, |a_x - a_y|)`` is the radius
+    of the join of ``x`` and ``y``.  ``D`` obeys the strong triangle
+    inequality, so for each ``R`` the relation ``D < R`` splits a set of
+    inputs into classes.  The hull's vertices are the inputs plus their
+    pairwise joins, and one recursion meets each of them once: a set
+    ``S`` of inputs has the vertex ``E(a, R)`` with ``R`` the largest
+    ``D`` within ``S`` (radii included), the inputs of radius ``R`` are
+    that vertex (it is marked), and the classes of the others under
+    ``D < R`` are its children.  Two inputs part at the vertex of radius
+    ``D(x, y)``, which is their join, and no join lies strictly between
+    a class and its parent, so each child is wired to the smallest
+    vertex above it.  Every pairwise ``D`` is computed once.
+
+    A disc is labelled by the input center inside it with the smallest
+    text, so labels depend on the point set alone.  Leaf edges down to
+    radius-zero points carry infinite length.
     """
     pts = list(points)
     if not pts:
         raise DomainError("hull of an empty point set")
-    field = pts[0].field
+    k = pts[0].field
     for p in pts:
         if isinstance(p, ChainPoint):
             raise DomainError("hulls of chain points are not supported")
-        if p.field != field:
+        if p.field != k:
             raise DomainError("points belong to different coefficient fields")
 
-    verts: list = []
+    anchors = [_anchor(p) for p in pts]
+    dist = [[r] * len(pts) for _, r in anchors]  # D(x, x) = r_x
+    for i, (a, r) in enumerate(anchors):
+        for j in range(i):
+            b, s = anchors[j]
+            dist[i][j] = dist[j][i] = mag_max(r, s, k.valuation(k.sub(a, b)))
+    texts = [k.format_element(a) for a, _ in anchors]
 
-    def add(pt: Point) -> None:
-        for v in verts:
-            if point_eq(v, pt):
-                return
-        verts.append(pt)
+    found = []  # (point, radius, parent index, marked)
+    stack = [(list(range(len(pts))), None, [])]
+    while stack:
+        members, parent, enclosing = stack.pop()
+        row = dist[members[0]]
+        radius = mag_max(*(row[j] for j in members))
+        own = [j for j in members if dist[j][j] == radius]
+        if radius.is_zero:
+            point = pts[own[0]]
+        else:
+            # the centers inside this disc: the members', plus those of
+            # enclosing input discs that happen to fall in it
+            a = anchors[members[0]][0]
+            inside = members + [
+                j for j in enclosing
+                if k.valuation(k.sub(anchors[j][0], a)) <= radius
+            ]
+            point = DiscPoint(k, anchors[min(inside, key=texts.__getitem__)][0], radius)
+        vid = len(found)
+        found.append((point, radius, parent, bool(own)))
+        rest = [j for j in members if j not in own]
+        enclosing = enclosing + own
+        while rest:
+            row = dist[rest[0]]
+            child, far = [], []
+            for j in rest:
+                (child if row[j] < radius else far).append(j)
+            stack.append((child, vid, enclosing))
+            rest = far
 
-    for p in pts:
-        add(p)
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            add(join(pts[i], pts[j]))
-
-    # Joins inherit a center from whichever operand came first, so two
-    # input orders can leave different (equal) representatives.  Recentre
-    # each disc on its smallest contained input anchor to make vertex
-    # labels a function of the point set alone.
-    verts = [_recentre_on_inputs(v, pts) for v in verts]
-
-    order = sorted(range(len(verts)), key=lambda i: format_point(verts[i]))
-    vertex_objs = []
-    for vid, old in enumerate(order):
-        p = verts[old]
-        vertex_objs.append(SkeletonVertex(vid, p, classify(p).type))
-
-    edges = []
-    for v in vertex_objs:
-        uppers = [
-            w for w in vertex_objs if _strictly_below(v.point, w.point)
-        ]
-        if not uppers:
-            continue
-        parent = uppers[0]
-        for w in uppers[1:]:
-            if _strictly_below(w.point, parent.point):
-                parent = w
-        ev = _radius_exponent_or_inf(_anchor(v.point)[1])
-        ep = _anchor(parent.point)[1].exponent
-        length: Length = INF if ev is INF else ev - ep
-        edges.append(SkeletonEdge(v.id, parent.id, length))
-
-    marked = frozenset(
-        v.id for v in vertex_objs if any(point_eq(v.point, p) for p in pts)
+    order = sorted(range(len(found)), key=lambda i: format_point(found[i][0]))
+    new_id = {old: vid for vid, old in enumerate(order)}
+    vertices = tuple(
+        SkeletonVertex(vid, found[old][0], classify(found[old][0]).type)
+        for vid, old in enumerate(order)
     )
+    edges = []
+    for old, (_, r, parent, _) in enumerate(found):
+        if parent is not None:
+            length = INF if r.is_zero else r.exponent - found[parent][1].exponent
+            edges.append(SkeletonEdge(new_id[old], new_id[parent], length))
     edges.sort(key=lambda e: (e.u, e.v))
-    return SkeletonGraph(tuple(vertex_objs), tuple(edges), marked)
+    marked = frozenset(new_id[old] for old, f in enumerate(found) if f[3])
+    return SkeletonGraph(vertices, tuple(edges), marked)
 
 
 def _on_graph(x: Point, g: SkeletonGraph) -> bool:

@@ -77,16 +77,13 @@ class Poly:
         return Poly(k, tuple(k.neg(c) for c in self.coeffs))
 
     def __mul__(self, other: "Poly") -> "Poly":
+        """Schoolbook product, run by the field's ``mul_coeffs``: Puiseux
+        fields accumulate on integer exponent keys, the others through
+        their own ``add`` and ``mul``.  Either way the result is exact."""
         k = self.field
         if self.is_zero or other.is_zero:
             return Poly(k, ())
-        out = [k.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if k.is_zero(a):
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = k.add(out[i + j], k.mul(a, b))
-        return Poly.make(k, out)
+        return Poly.make(k, k.mul_coeffs(self.coeffs, other.coeffs))
 
     def scale(self, c) -> "Poly":
         k = self.field

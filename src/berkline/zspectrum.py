@@ -19,7 +19,7 @@ from typing import Callable, Optional, Sequence, Tuple, Union
 
 from .errors import DomainError, ParseError
 from .exponents import Ordering
-from .fields import _is_prime
+from .fields import _is_prime, _vp, _vp_int
 
 
 # ---------------------------------------------------------------------
@@ -179,18 +179,6 @@ class ZPAdicInfty:
 ZPoint = Union[ZTrivial, ZPAdic, ZArch, ZPAdicInfty]
 
 
-def _vp_int(m: int, p: int) -> int:
-    v = 0
-    while m % p == 0:
-        m //= p
-        v += 1
-    return v
-
-
-def _vp(x: Fraction, p: int) -> int:
-    return _vp_int(x.numerator, p) - _vp_int(x.denominator, p)
-
-
 def zpoint_eval(x: ZPoint, m: int) -> RealMag:
     if m == 0:
         return RealMag.zero()
@@ -216,20 +204,72 @@ def zpoint_is_multiplicative_on(x: ZPoint, pairs: Sequence[Tuple[int, int]]) -> 
 # n-adic norms on the rationals
 
 
+# Trial division stops at this bound; larger prime factors come from
+# Pollard's rho, which gets this many steps per cofactor.
+_TRIAL_BOUND = 1 << 10
+_RHO_STEPS = 1 << 18
+
+
+def _rho_factor(n: int) -> int:
+    """A proper factor of the composite ``n`` (no factor below
+    ``_TRIAL_BOUND``), by Brent's variant of Pollard's rho.
+
+    Raises :class:`DomainError` when ``_RHO_STEPS`` steps of the
+    pseudo-random walk find none."""
+    budget, c = _RHO_STEPS, 0
+    while budget > 0:
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1 and budget > 0:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += 128
+            budget -= 2 * r
+            r *= 2
+        if g == n:  # the last batch hit every factor: retrace it
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if 1 < g < n:
+            return g
+    raise DomainError(f"no factor of {n} found within {_RHO_STEPS} rho steps")
+
+
 def prime_factors(n: int) -> dict:
+    """``{p: e}`` with ``n = prod p**e``, primes ascending.
+
+    Trial division runs only up to a small bound.  Each cofactor left
+    is tested with the deterministic ``_is_prime`` and, when composite,
+    split by Pollard's rho.  A cofactor at or above ``PRIME_LIMIT``, or
+    one the rho step budget cannot split, raises :class:`DomainError`
+    instead of searching on."""
     if n < 2:
         raise DomainError("factorization needs an integer of size at least 2")
-    out = {}
-    m = n
-    p = 2
-    while p * p <= m:
+    out: dict = {}
+    m, p = n, 2
+    while p < _TRIAL_BOUND and p * p <= m:
         while m % p == 0:
             out[p] = out.get(p, 0) + 1
             m //= p
         p += 1 if p == 2 else 2
-    if m > 1:
-        out[m] = out.get(m, 0) + 1
-    return out
+    pending = [m] if m > 1 else []
+    while pending:
+        c = pending.pop()
+        if _is_prime(c):
+            out[c] = out.get(c, 0) + 1
+        else:
+            d = _rho_factor(c)
+            pending += [d, c // d]
+    return dict(sorted(out.items()))
 
 
 def nadic_norm(x, n: int) -> RealMag:

@@ -1,0 +1,101 @@
+"""Reference implementations kept as independent oracles.
+
+Each one is the plain construction that a faster library routine
+replaced; the tests compare the two on random inputs.
+"""
+
+from berkline import (
+    INF,
+    DiscPoint,
+    Poly,
+    SkeletonEdge,
+    SkeletonGraph,
+    SkeletonVertex,
+    classify,
+    format_point,
+    join,
+    point_eq,
+    point_leq,
+)
+from berkline.line import _anchor, _radius_exponent_or_inf
+
+
+def _strictly_below(x, y) -> bool:
+    return point_leq(x, y) and not point_eq(x, y)
+
+
+def _recentre_on_inputs(v, pts):
+    if not isinstance(v, DiscPoint):
+        return v
+    k = v.field
+    best = None
+    for p in pts:
+        c = _anchor(p)[0]
+        if k.valuation(k.sub(c, v.center)) <= v.radius:
+            text = k.format_element(c)
+            if best is None or text < best[0]:
+                best = (text, c)
+    return v if best is None else DiscPoint(k, best[1], v.radius)
+
+
+def reference_convex_hull(points) -> SkeletonGraph:
+    """The hull from all pairwise joins.
+
+    Vertices are the inputs plus all pairwise joins, deduplicated with
+    ``point_eq``; each disc is recentred on its smallest contained input
+    center, and each non-root vertex is wired to the smallest vertex
+    strictly above it.
+    """
+    pts = list(points)
+    verts: list = []
+
+    def add(pt) -> None:
+        for v in verts:
+            if point_eq(v, pt):
+                return
+        verts.append(pt)
+
+    for p in pts:
+        add(p)
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            add(join(pts[i], pts[j]))
+    verts = [_recentre_on_inputs(v, pts) for v in verts]
+
+    order = sorted(range(len(verts)), key=lambda i: format_point(verts[i]))
+    vertex_objs = []
+    for vid, old in enumerate(order):
+        p = verts[old]
+        vertex_objs.append(SkeletonVertex(vid, p, classify(p).type))
+
+    edges = []
+    for v in vertex_objs:
+        uppers = [w for w in vertex_objs if _strictly_below(v.point, w.point)]
+        if not uppers:
+            continue
+        parent = uppers[0]
+        for w in uppers[1:]:
+            if _strictly_below(w.point, parent.point):
+                parent = w
+        ev = _radius_exponent_or_inf(_anchor(v.point)[1])
+        ep = _anchor(parent.point)[1].exponent
+        length = INF if ev is INF else ev - ep
+        edges.append(SkeletonEdge(v.id, parent.id, length))
+
+    marked = frozenset(
+        v.id for v in vertex_objs if any(point_eq(v.point, p) for p in pts)
+    )
+    edges.sort(key=lambda e: (e.u, e.v))
+    return SkeletonGraph(tuple(vertex_objs), tuple(edges), marked)
+
+
+def schoolbook_product(f, g):
+    """``f * g`` from the field's own ``add`` and ``mul``, term by term."""
+    k = f.field
+    if f.is_zero or g.is_zero:
+        return Poly(k, ())
+    out = [k.zero] * (len(f.coeffs) + len(g.coeffs) - 1)
+    for i, a in enumerate(f.coeffs):
+        for j, b in enumerate(g.coeffs):
+            out[i + j] = k.add(out[i + j], k.mul(a, b))
+    return Poly.make(k, out)

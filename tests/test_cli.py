@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import time
 
 from berkline.cli import run
 
@@ -184,6 +185,29 @@ def test_large_prime_moduli():
         "precondition violated: primality is decided only below "
         "3317044064679887385961981\n"
     )
+
+
+def test_nadic_with_large_prime_factors_answers_in_time():
+    # a Mersenne prime and a product of two primes near 10^9: trial
+    # division alone would not finish on either
+    for argv in (
+        ["nadic", "--n", "2305843009213693951", "--x", "12"],
+        ["nadic", "--n", "1000000016000000063", "--x", "1/3"],
+    ):
+        start = time.perf_counter()
+        code, out, err = invoke(argv)
+        assert time.perf_counter() - start < 2.0, argv
+        assert (code, err) == (0, ""), argv
+        assert '"status": "ok"' in out
+
+
+def test_nadic_refuses_what_it_cannot_factor():
+    # two primes near 2^40 and 2^41: beyond the rho step budget
+    start = time.perf_counter()
+    code, out, err = invoke(["nadic", "--n", "2417851639291930512195989", "--x", "3"])
+    assert time.perf_counter() - start < 2.0
+    assert (code, out) == (4, "")
+    assert err.startswith("precondition violated: no factor of 2417851639291930512195989")
 
 
 def test_precondition_failures_exit_4():

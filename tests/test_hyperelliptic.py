@@ -19,6 +19,7 @@ from berkline import (
     PrimeField,
     PuiseuxField,
     Type1Point,
+    convex_hull,
     cover_skeleton,
     elliptic_reduction,
     eval_seminorm,
@@ -27,9 +28,12 @@ from berkline import (
     genus,
     mobius_orbit,
     parse_poly,
+    point_leq,
     tate_cycle_exponent,
 )
+from berkline.hyperelliptic import _roots_below
 from helpers import LSER, Q5, distinct_roots
+from oracles import schoolbook_product
 
 
 def fin(a, b=0) -> Magnitude:
@@ -191,6 +195,69 @@ def test_genus_is_conserved_across_configurations():
         field = LSER if rng.random() < 0.5 else Q5
         roots = distinct_roots(rng, field, d)
         assert genus(BranchData.from_roots(field, roots)) == (d - 1) // 2
+
+
+def test_from_roots_is_the_product_of_linear_factors():
+    rng = random.Random(149)
+    for field in (LSER, PuiseuxField(PrimeField(3)), Q5):
+        for _ in range(6):
+            roots = distinct_roots(rng, field, rng.randint(1, 9))
+            lead = field.from_int(rng.choice([1, 2, 4]))
+            expected = Poly.constant(field, lead)
+            for r in roots:
+                expected = schoolbook_product(expected, Poly.make(field, (field.neg(r), field.one)))
+            assert BranchData.from_roots(field, roots, lead).f == expected
+
+
+def _cluster_genus(field, roots) -> int:
+    """Genus from the cluster picture of the roots alone (Dokchitser,
+    Dokchitser, Maistret and Morgan, arXiv:1808.02936), with no hull.
+
+    A cluster is the set of roots in a disc; a proper cluster ``s`` has
+    ``m(s)`` = its odd children, plus one when ``s`` is odd (the
+    direction out of it holds an odd count, infinity included).  It
+    adds genus ``max(m/2 - 1, 0)``, and it is uebereven (two points
+    above it) when ``m = 0``.  Each even cluster below the top adds an
+    edge that splits, so the doubled graph gains one cycle per such
+    cluster and loses one per uebereven cluster."""
+    d = len(roots)
+    if d < 2:
+        return 0
+    dist = [[field.valuation(field.sub(a, b)) for b in roots] for a in roots]
+    clusters = {
+        frozenset(k for k in range(d) if dist[i][k] <= dist[i][j])
+        for i in range(d) for j in range(d) if i != j
+    }
+    top = frozenset(range(d))
+    genus = 0
+    for s in clusters:
+        inner = [c for c in clusters if c < s]
+        kids = [c for c in inner if not any(c < o for o in inner)]
+        kids += [frozenset([i]) for i in s if not any(i in c for c in kids)]
+        m = sum(len(c) % 2 for c in kids) + len(s) % 2
+        genus += max(m // 2 - 1, 0) - (m == 0) + (s != top and len(s) % 2 == 0)
+    return genus
+
+
+def test_genus_is_the_even_odd_cluster_count():
+    rng = random.Random(151)
+    for _ in range(40):
+        d = rng.randint(1, 9)
+        field = LSER if rng.random() < 0.5 else Q5
+        roots = distinct_roots(rng, field, d)
+        cs = cover_skeleton(BranchData.from_roots(field, roots))
+        assert cs.total_genus == _cluster_genus(field, roots) == (d - 1) // 2
+
+
+def test_root_counts_match_containment():
+    rng = random.Random(157)
+    for _ in range(25):
+        field = LSER if rng.random() < 0.5 else Q5
+        pts = [Type1Point(field, r) for r in distinct_roots(rng, field, rng.randint(1, 9))]
+        hull = convex_hull(pts)
+        below = _roots_below(hull)
+        for v in hull.vertices:
+            assert below[v.id] == sum(point_leq(p, v.point) for p in pts)
 
 
 def test_fiber_counts_on_edge_interiors_match_split_flags():

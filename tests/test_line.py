@@ -1,5 +1,6 @@
 """Points of the line: classification, seminorms, tree geometry, hulls."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -38,6 +39,7 @@ from berkline import (
     torus_retract,
 )
 from helpers import LSER, Q5, rand_element, rand_point, rand_poly, rand_radius
+from oracles import reference_convex_hull
 
 
 def fin(a, b=0) -> Magnitude:
@@ -307,6 +309,59 @@ def test_hull_dedupes_equal_points():
     b = DiscPoint(Q5, Fraction(5), fin(1))  # same point, other center
     g = convex_hull([a, b])
     assert len(g.vertices) == 1
+
+
+def _rand_hull_points(rng, field):
+    """A mixed point set with the shapes a hull must get right: nested
+    and disjoint discs with rational and irrational radii, repeated
+    inputs, equal discs written with other centers, and clusters."""
+    pts = []
+    for _ in range(rng.randint(1, 8)):
+        roll = rng.random()
+        if not pts or roll < 0.4:
+            pts.append(rand_point(rng, field))
+            continue
+        x = rng.choice(pts)
+        if roll < 0.5:
+            pts.append(x)  # the same input twice
+        elif roll < 0.65 and isinstance(x, DiscPoint):
+            # the same disc around another of its centers
+            m = max(math.ceil(x.radius.exponent.to_float()), rng.randint(-2, 3))
+            step = field.mul(field.from_int(rng.choice([1, 2, 3])),
+                             field.element_with_valuation(Exponent(m)))
+            pts.append(DiscPoint(field, field.add(x.center, step), x.radius))
+        elif roll < 0.8:
+            # a disc or a point around the center of an earlier input
+            c = x.center
+            if rng.random() < 0.5:
+                pts.append(Type1Point(field, c))
+            else:
+                pts.append(DiscPoint(field, c, rand_radius(rng)))
+        else:
+            # a nearby point, making a cluster
+            bump = field.mul(rand_element(rng, field, nonzero=True),
+                             field.element_with_valuation(Exponent(rng.randint(1, 3))))
+            pts.append(Type1Point(field, field.add(x.center, bump)))
+    return pts
+
+
+@pytest.mark.parametrize("field", [Q5, LSER], ids=["padic5", "puiseuxQ"])
+def test_hull_matches_pairwise_join_reference(field):
+    rng = random.Random(211 if field is Q5 else 223)
+    for _ in range(150):
+        pts = _rand_hull_points(rng, field)
+        g = convex_hull(pts)
+        ref = reference_convex_hull(pts)
+        assert [format_point(v.point) for v in g.vertices] == [
+            format_point(v.point) for v in ref.vertices
+        ]
+        assert [v.ptype for v in g.vertices] == [v.ptype for v in ref.vertices]
+        assert [(e.u, e.v, e.length) for e in g.edges] == [
+            (e.u, e.v, e.length) for e in ref.edges
+        ]
+        assert g.marked == ref.marked
+        assert g.canonical_key() == ref.canonical_key()
+        assert g.to_dot() == ref.to_dot()
 
 
 def test_retract_frozen():

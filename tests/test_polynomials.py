@@ -28,6 +28,7 @@ from berkline import (
 )
 from berkline.fields import _synthetic_shift
 from helpers import LSER, Q5, rand_element, rand_poly
+from oracles import schoolbook_product
 
 
 def fin(a, b=0) -> Magnitude:
@@ -110,6 +111,50 @@ def test_taylor_shift_roundtrip():
     for field in SHIFT_FIELDS:
         for f, a in _shift_cases(rng, field, 30, 16):
             assert taylor_shift(taylor_shift(f, a), field.neg(a)) == f
+
+
+PRODUCT_FIELDS = (LSER, PuiseuxField(PrimeField(2)), PuiseuxField(PrimeField(3)))
+
+
+def _cancelling_pairs(rng, field):
+    """Products whose coefficients cancel: ``(T + a)**p = T**p + a**p``
+    in characteristic ``p``, and ``(T - a)(T + a) = T**2 - a**2``."""
+    a = _mixed_element(rng, field, nonzero=True)
+    lin = Poly.make(field, (a, field.one))
+    yield lin, Poly.make(field, (field.neg(a), field.one))
+    p = field.char
+    if p:
+        power = lin
+        for _ in range(p - 2):
+            power = schoolbook_product(power, lin)
+        yield power, lin
+
+
+@pytest.mark.parametrize("field", PRODUCT_FIELDS, ids=["Q", "F2", "F3"])
+def test_product_matches_schoolbook_oracle(field):
+    rng = random.Random(61)
+    wide = cancelled = zero_inner = 0
+    cases = []
+    for n in range(40):
+        deg = 16 if n == 0 else rng.randint(0, 8)
+        f = _mixed_poly(rng, field, deg)
+        g = _mixed_poly(rng, field, 16 - deg if n == 0 else rng.randint(0, 8))
+        cases.append((f, g))
+        cases += list(_cancelling_pairs(rng, field))
+    for f, g in cases:
+        product = f * g
+        assert product == schoolbook_product(f, g)
+        assert product == g * f
+        wide += len({e.denominator for c in f.coeffs + g.coeffs for e, _ in c}) > 1
+        zero_inner += any(field.is_zero(c) for c in f.coeffs)
+        # a coefficient of the product that is zero although term pairs land on it
+        cancelled += any(
+            field.is_zero(product.coefficient(i + j)) and a and b
+            for i, a in enumerate(f.coeffs)
+            for j, b in enumerate(g.coeffs)
+        )
+    assert max(len(f.coeffs) + len(g.coeffs) - 2 for f, g in cases) == 16
+    assert wide >= 20 and zero_inner >= 10 and cancelled >= 10
 
 
 @pytest.mark.parametrize(

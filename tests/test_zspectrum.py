@@ -1,5 +1,6 @@
 """Real semivaluations on the integers and n-adic seminorms."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -23,6 +24,7 @@ from berkline import (
     zpoint_is_multiplicative_on,
     zpoint_limit_check,
 )
+from berkline import zspectrum
 
 of = RealMag.of
 
@@ -123,6 +125,28 @@ def test_prime_factors():
     assert prime_factors(97) == {97: 1}
     with pytest.raises(DomainError):
         prime_factors(1)
+
+
+def test_prime_factors_beyond_trial_division():
+    m61 = 2**61 - 1
+    assert prime_factors(m61) == {m61: 1}
+    assert prime_factors(1000000007 * 1000000009) == {1000000007: 1, 1000000009: 1}
+    n = 2**5 * 3 * 1009**2 * 999983 * 1000003
+    assert prime_factors(n) == {2: 5, 3: 1, 1009: 2, 999983: 1, 1000003: 1}
+    assert list(prime_factors(n)) == sorted(prime_factors(n))
+    rng = random.Random(163)
+    primes = [p for p in range(1025, 60000, 2) if all(p % q for q in range(3, 246, 2))]
+    for _ in range(20):
+        picked = rng.sample(primes, rng.randint(2, 4))
+        assert prime_factors(math.prod(picked)) == {p: 1 for p in picked}
+
+
+def test_prime_factors_refuses_instead_of_searching(monkeypatch):
+    with pytest.raises(DomainError, match="primality is decided only below"):
+        prime_factors(3 * (2**89 - 1))  # a prime cofactor beyond PRIME_LIMIT
+    monkeypatch.setattr(zspectrum, "_RHO_STEPS", 8)
+    with pytest.raises(DomainError, match="rho steps"):
+        prime_factors(1000000007 * 1000000009)
 
 
 def test_nadic_norm_frozen():
