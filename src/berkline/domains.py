@@ -28,7 +28,6 @@ from .line import (
     Type1Point,
     eval_seminorm,
     point_eq,
-    seminorm_is_exact,
 )
 from .polynomials import Poly, format_poly, parse_poly
 
@@ -116,10 +115,6 @@ def member(x: Point, d: Domain) -> bool:
     """Exact for honest points; for chains the verdict uses the
     innermost listed disc and may differ from the limit point's."""
     return all(iq.holds_at(x) for iq in d.inequalities)
-
-
-def membership_is_exact(x: Point) -> bool:
-    return seminorm_is_exact(x)
 
 
 def domain_intersect(d1: Domain, d2: Domain) -> Domain:
@@ -241,10 +236,6 @@ def max_modulus_check(f: Poly, sd: StandardDomain, samples) -> bool:
             raise DomainError("sample point lies outside the domain")
     best = max(eval_seminorm(f, b) for b in shilov_boundary(sd))
     return all(eval_seminorm(f, x) <= best for x in samples)
-
-
-def boundary_points(sd: StandardDomain) -> Tuple[Point, ...]:
-    return shilov_boundary(sd)
 
 
 def in_interior(x: Point, sd: StandardDomain) -> bool:

@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
-from math import sqrt
+from math import gcd, lcm, sqrt
 from typing import Optional, Union
 
 from .errors import DomainError, ParseError
@@ -40,41 +40,125 @@ def _as_fraction(v) -> Fraction:
     raise TypeError(f"expected a rational, got {type(v).__name__}")
 
 
-@dataclass(frozen=True)
+def _sign2(x: int, y: int) -> int:
+    """Exact sign of ``x + y*sqrt(2)`` for integers ``x`` and ``y``.
+
+    When the two have opposite signs the result hinges on whether
+    ``x*x`` beats ``2*y*y``; this is the only place where irrationality
+    of sqrt(2) matters (the two squares can tie only at zero).
+    """
+    if y == 0:
+        return (x > 0) - (x < 0)
+    if x >= 0 and y > 0:
+        return 1
+    if x <= 0 and y < 0:
+        return -1
+    if x > 0:  # y < 0: positive iff x > -y*sqrt(2) iff x^2 > 2 y^2
+        return 1 if x * x > 2 * y * y else -1
+    return 1 if 2 * y * y > x * x else -1  # x < 0, y > 0
+
+
+def _cmp(e1: "Exponent", e2: "Exponent") -> int:
+    """Sign of ``e1 - e2``, computed on the stored integers alone.
+
+    Both values are ``(n + m*sqrt(2)) / d`` with ``d > 0``, so over the
+    common positive denominator ``d1*d2`` the sign of the difference is
+    the sign of the difference of the numerator pairs.
+    """
+    d1, d2 = e1._d, e2._d
+    if d1 == d2:
+        return _sign2(e1._n - e2._n, e1._m - e2._m)
+    return _sign2(e1._n * d2 - e2._n * d1, e1._m * d2 - e2._m * d1)
+
+
+def _make(n: int, m: int, d: int) -> "Exponent":
+    """The exponent ``(n + m*sqrt(2)) / d`` for ``d > 0``, reduced."""
+    if d != 1:
+        g = gcd(n, m, d)
+        if g != 1:
+            n, m, d = n // g, m // g, d // g
+    e = _new(Exponent)
+    e._n, e._m, e._d = n, m, d
+    return e
+
+
 class Exponent:
     """The real number ``a + b*sqrt(2)`` with ``a``, ``b`` exact rationals.
 
-    Instances are immutable values; arithmetic returns new objects.  The
-    total order agrees with the real-number order and is decided by the
-    sign rule in :meth:`sign`, never by floats.
+    Stored as three ints ``(n, m, d)`` with ``a = n/d``, ``b = m/d``,
+    ``d > 0`` and ``gcd(n, m, d) = 1``, so every value has one form and
+    arithmetic and comparisons run on ints without building fractions.
+    ``a`` and ``b`` are read-only :class:`Fraction` views.  Instances are
+    immutable values in the sense of :class:`Fraction` (whose private
+    slots are likewise only written on construction); arithmetic returns
+    new objects.  The total order agrees with the real-number order and
+    is decided by the sign rule in :meth:`sign`, never by floats.
     """
 
-    a: Fraction
-    b: Fraction = Fraction(0)
+    __slots__ = ("_n", "_m", "_d")
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", _as_fraction(self.a))
-        object.__setattr__(self, "b", _as_fraction(self.b))
+    def __init__(self, a, b=0):
+        if type(a) is int and type(b) is int:
+            self._n, self._m, self._d = a, b, 1
+            return
+        a, b = _as_fraction(a), _as_fraction(b)
+        da, db = a.denominator, b.denominator
+        d = lcm(da, db)
+        # a and b are in lowest terms, so no prime divides all of
+        # n, m and d = lcm(da, db): the triple is already reduced
+        self._n = a.numerator * (d // da)
+        self._m = b.numerator * (d // db)
+        self._d = d
+
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self._n, self._d)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self._m, self._d)
+
+    def __repr__(self) -> str:
+        return f"Exponent(a={self.a!r}, b={self.b!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not Exponent:
+            return NotImplemented
+        return self._n == other._n and self._m == other._m and self._d == other._d
+
+    def __hash__(self) -> int:
+        # equal to hash((a, b)); a Fraction with denominator 1 hashes as its int
+        if self._d == 1:
+            return hash((self._n, self._m))
+        return hash((self.a, self.b))
 
     # -- group structure ----------------------------------------------
 
     def __add__(self, other: "Exponent") -> "Exponent":
         if not isinstance(other, Exponent):
             return NotImplemented  # lets INF.__radd__ absorb the sum
-        return Exponent(self.a + other.a, self.b + other.b)
+        d1, d2 = self._d, other._d
+        if d1 == d2:
+            return _make(self._n + other._n, self._m + other._m, d1)
+        return _make(self._n * d2 + other._n * d1, self._m * d2 + other._m * d1, d1 * d2)
 
     def __sub__(self, other: "Exponent") -> "Exponent":
         if not isinstance(other, Exponent):
             return NotImplemented
-        return Exponent(self.a - other.a, self.b - other.b)
+        d1, d2 = self._d, other._d
+        if d1 == d2:
+            return _make(self._n - other._n, self._m - other._m, d1)
+        return _make(self._n * d2 - other._n * d1, self._m * d2 - other._m * d1, d1 * d2)
 
     def __neg__(self) -> "Exponent":
-        return Exponent(-self.a, -self.b)
+        e = _new(Exponent)
+        e._n, e._m, e._d = -self._n, -self._m, self._d
+        return e
 
     def scale(self, q) -> "Exponent":
         """Multiply by an exact rational scalar."""
         q = _as_fraction(q)
-        return Exponent(self.a * q, self.b * q)
+        return _make(self._n * q.numerator, self._m * q.numerator, self._d * q.denominator)
 
     def __abs__(self) -> "Exponent":
         return -self if self.sign() < 0 else self
@@ -82,47 +166,42 @@ class Exponent:
     # -- order ---------------------------------------------------------
 
     def sign(self) -> int:
-        """Exact sign of ``a + b*sqrt(2)``.
-
-        When ``a`` and ``b`` have opposite signs the result hinges on
-        whether ``a*a`` beats ``2*b*b``; this is the only place where
-        irrationality of sqrt(2) matters (the two squares can tie only
-        at zero).
-        """
-        a, b = self.a, self.b
-        if a == 0 and b == 0:
-            return 0
-        if a >= 0 and b >= 0:
-            return 1
-        if a <= 0 and b <= 0:
-            return -1
-        lhs, rhs = a * a, 2 * b * b
-        if a > 0:  # b < 0: positive iff a > -b*sqrt(2) iff a^2 > 2 b^2
-            return 1 if lhs > rhs else -1
-        return 1 if rhs > lhs else -1  # a < 0, b > 0
+        """Exact sign of ``a + b*sqrt(2)``, which is the sign of
+        ``n + m*sqrt(2)`` because ``d > 0``; see :func:`_sign2`."""
+        return _sign2(self._n, self._m)
 
     def is_rational(self) -> bool:
-        return self.b == 0
+        return self._m == 0
 
     def __lt__(self, other: "Exponent") -> bool:
-        return (self - other).sign() < 0
+        if not isinstance(other, Exponent):
+            return NotImplemented
+        return _cmp(self, other) < 0
 
     def __le__(self, other: "Exponent") -> bool:
-        return (self - other).sign() <= 0
+        if not isinstance(other, Exponent):
+            return NotImplemented
+        return _cmp(self, other) <= 0
 
     def __gt__(self, other: "Exponent") -> bool:
-        return (self - other).sign() > 0
+        if not isinstance(other, Exponent):
+            return NotImplemented
+        return _cmp(self, other) > 0
 
     def __ge__(self, other: "Exponent") -> bool:
-        return (self - other).sign() >= 0
+        if not isinstance(other, Exponent):
+            return NotImplemented
+        return _cmp(self, other) >= 0
 
     def to_float(self) -> float:
         """Display-only float image; never used in comparisons."""
-        return float(self.a) + float(self.b) * sqrt(2.0)
+        return self._n / self._d + self._m / self._d * sqrt(2.0)
 
     def __str__(self) -> str:
         return format_exponent(self)
 
+
+_new = object.__new__
 
 EXP_ZERO = Exponent(0)
 EXP_ONE = Exponent(1)
@@ -130,7 +209,9 @@ EXP_ONE = Exponent(1)
 
 def exp_compare(e1: Exponent, e2: Exponent) -> Ordering:
     """Exact comparison of two exponents as real numbers."""
-    return Ordering((e1 - e2).sign())
+    if not (isinstance(e1, Exponent) and isinstance(e2, Exponent)):
+        raise TypeError("exp_compare needs two exponents")
+    return Ordering(_cmp(e1, e2))
 
 
 # ---------------------------------------------------------------------
@@ -155,7 +236,7 @@ class Magnitude:
     @staticmethod
     def finite(e: Exponent) -> "Magnitude":
         if not isinstance(e, Exponent):
-            e = Exponent(_as_fraction(e))
+            e = Exponent(e)
         return Magnitude(e)
 
     @staticmethod
@@ -186,14 +267,20 @@ class Magnitude:
         return Magnitude(self.exponent.scale(Fraction(1, n)))
 
     def __lt__(self, other: "Magnitude") -> bool:
-        if self.is_zero:
-            return not other.is_zero
-        if other.is_zero:
+        e1, e2 = self.exponent, other.exponent
+        if e1 is None:
+            return e2 is not None
+        if e2 is None:
             return False
-        return self.exponent > other.exponent  # rho < 1 inverts the order
+        return _cmp(e1, e2) > 0  # rho < 1 inverts the order
 
     def __le__(self, other: "Magnitude") -> bool:
-        return self == other or self < other
+        e1, e2 = self.exponent, other.exponent
+        if e1 is None:
+            return True
+        if e2 is None:
+            return False
+        return _cmp(e1, e2) >= 0
 
     def __gt__(self, other: "Magnitude") -> bool:
         return other < self
@@ -209,12 +296,21 @@ MAG_ZERO = Magnitude.zero()
 MAG_ONE = Magnitude.unit()
 
 
-def mag_mul(m1: Magnitude, m2: Magnitude) -> Magnitude:
-    return m1 * m2
+# rho**v for the integers |v| <= _INTERNED, filled on first use: the
+# values p-adic valuations take, shared instead of rebuilt per call.
+# Magnitudes are immutable, so sharing shows only through ``is``.
+_INTERNED = 256
+_INT_MAGS: dict = {}
 
 
-def mag_root(m: Magnitude, n: int) -> Magnitude:
-    return m.root(n)
+def int_magnitude(v: int) -> Magnitude:
+    """``rho**v`` for an integer ``v``; one shared instance per small ``v``."""
+    m = _INT_MAGS.get(v)
+    if m is None:
+        m = Magnitude(Exponent(v))
+        if -_INTERNED <= v <= _INTERNED:
+            _INT_MAGS[v] = m
+    return m
 
 
 def mag_max(*ms: Magnitude) -> Magnitude:
@@ -311,7 +407,7 @@ _EXP_RE = re.compile(
 
 
 def format_exponent(e: Exponent) -> str:
-    if e.b == 0:
+    if e.is_rational():
         return str(e.a)
     if e.b > 0:
         return f"{e.a}+{e.b}*s2"

@@ -34,7 +34,7 @@ from math import isqrt, lcm
 from typing import Optional, Tuple, Union
 
 from .errors import DomainError, ParseError
-from .exponents import EXP_ZERO, Exponent, Magnitude
+from .exponents import EXP_ZERO, MAG_ZERO, Exponent, Magnitude, int_magnitude
 
 
 # Miller-Rabin with the first thirteen primes as bases decides primality
@@ -115,8 +115,10 @@ def _vp_int(m: int, p: int) -> int:
 
 
 def _vp(x: Fraction, p: int) -> int:
-    """The p-adic valuation of the nonzero rational ``x``."""
-    return _vp_int(x.numerator, p) - _vp_int(x.denominator, p)
+    """The p-adic valuation of the nonzero rational (or int) ``x``."""
+    d = x.denominator
+    v = _vp_int(x.numerator, p)
+    return v if d == 1 else v - _vp_int(d, p)
 
 
 def _int_keys(elems):
@@ -137,12 +139,6 @@ def _from_int_keys(rows, d, is_zero) -> list:
         tuple((exps[g], row[g]) for g in sorted(row) if not is_zero(row[g]))
         for row in rows
     ]
-
-
-def _below(q: Fraction, e: Exponent) -> bool:
-    """Exact ``q < e`` for a rational ``q``, without building an
-    :class:`Exponent` when ``e`` is rational too."""
-    return q < e.a if e.b == 0 else Exponent(q) < e
 
 
 # ---------------------------------------------------------------------
@@ -384,11 +380,11 @@ class PAdicField(_GenericKernels):
 
     def valuation(self, x) -> Magnitude:
         """``rho**(v_p(num) - v_p(den))``, or zero for ``x == 0``."""
-        x = Fraction(x)
+        if not isinstance(x, (Fraction, int)):
+            x = Fraction(x)
         if x == 0:
-            return Magnitude.zero()
-        v = _vp_int(x.numerator, self.p) - _vp_int(x.denominator, self.p)
-        return Magnitude.finite(Exponent(v))
+            return MAG_ZERO
+        return int_magnitude(_vp(x, self.p))
 
     def trim_center(self, a, r: Magnitude):
         """A center of ``E(a, r)``: zero when ``|a| <= r``, else ``a``.
@@ -397,7 +393,7 @@ class PAdicField(_GenericKernels):
         """
         if a == 0 or r.is_zero:
             return a
-        return a if _below(_vp(Fraction(a), self.p), r.exponent) else self.zero
+        return a if Exponent(_vp(a, self.p)) < r.exponent else self.zero
 
     def residue(self, x) -> int:
         """Image in F_p of an element with ``|x| <= 1``."""
@@ -578,7 +574,7 @@ class PuiseuxField:
             return a
         e = r.exponent
         n = 0
-        while n < len(a) and _below(a[n][0], e):
+        while n < len(a) and Exponent(a[n][0]) < e:
             n += 1
         return a[:n]
 

@@ -25,6 +25,7 @@ from typing import Optional, Tuple, Union
 
 from .errors import DomainError, ParseError
 from .exponents import (
+    EXP_ZERO,
     INF,
     Exponent,
     Length,
@@ -213,12 +214,13 @@ def _disc_eval(f: Poly, center, radius: Magnitude) -> Magnitude:
     g = disc_expansion(f, center, radius)
     best: Optional[Exponent] = None
     e_r = radius.exponent
-    for i, c in enumerate(g.coeffs):
-        if k.is_zero(c):
-            continue
-        e = k.valuation(c).exponent + e_r.scale(i)
-        if best is None or e < best:
-            best = e
+    ie_r = EXP_ZERO  # i*e_r, by one addition per step
+    for c in g.coeffs:
+        if not k.is_zero(c):
+            e = k.valuation(c).exponent + ie_r
+            if best is None or e < best:
+                best = e
+        ie_r = ie_r + e_r
     return Magnitude.zero() if best is None else Magnitude.finite(best)
 
 

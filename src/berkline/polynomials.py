@@ -195,13 +195,7 @@ def newton_slopes(f: Poly) -> tuple:
     for (i1, e1), (i2, e2) in zip(hull, hull[1:]):
         slope = Fraction(e2 - e1, i2 - i1)
         mags.extend([Magnitude.finite(Exponent(-slope))] * (i2 - i1))
-    return tuple(sorted(mags, key=_mag_sort_key))
-
-
-def _mag_sort_key(m: Magnitude):
-    if m.is_zero:
-        return (0, Fraction(0), Fraction(0))
-    return (1, -m.exponent.a, -m.exponent.b)
+    return tuple(sorted(mags))
 
 
 def _lower_hull(pts):
@@ -344,6 +338,11 @@ def is_constant_times_square(f: Poly) -> bool:
 
 _TERM_RE = re.compile(r"^(?:(?P<coef>.+)\*)?(?P<neg>-)?T(?:\^(?P<k>\d+))?$")
 
+# The largest degree the text form accepts.  ``T^k`` stores k+1
+# coefficients, so an unbounded k would exhaust memory; larger degrees
+# are refused with DomainError.
+MAX_DEGREE = 4096
+
 
 def _needs_parens(s: str) -> bool:
     depth = 0
@@ -424,13 +423,22 @@ def _strip_parens(s: str) -> str:
     return s
 
 
+def _parse_degree(digits) -> int:
+    if digits is None:
+        return 1
+    digits = digits.lstrip("0") or "0"
+    if len(digits) > len(str(MAX_DEGREE)) or int(digits) > MAX_DEGREE:
+        raise DomainError(f"polynomial degree above the limit {MAX_DEGREE}")
+    return int(digits)
+
+
 def _parse_poly_term(field: ValuedField, term: str, original: str):
     neg = False
     if term.startswith("-"):
         neg, term = True, term[1:]
     m = _TERM_RE.match(term)
     if m:
-        k = int(m.group("k")) if m.group("k") else 1
+        k = _parse_degree(m.group("k"))
         if m.group("neg"):
             neg = not neg
         coef_text = m.group("coef")

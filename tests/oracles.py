@@ -4,6 +4,11 @@ Each one is the plain construction that a faster library routine
 replaced; the tests compare the two on random inputs.
 """
 
+from dataclasses import dataclass
+from fractions import Fraction
+from math import sqrt
+from typing import Optional
+
 from berkline import (
     INF,
     DiscPoint,
@@ -99,3 +104,99 @@ def schoolbook_product(f, g):
         for j, b in enumerate(g.coeffs):
             out[i + j] = k.add(out[i + j], k.mul(a, b))
     return Poly.make(k, out)
+
+
+@dataclass(frozen=True)
+class ReferenceExponent:
+    """``a + b*sqrt(2)`` stored as two fractions, with every order
+    question decided by the sign of a difference."""
+
+    a: Fraction
+    b: Fraction = Fraction(0)
+
+    def __post_init__(self):
+        object.__setattr__(self, "a", Fraction(self.a))
+        object.__setattr__(self, "b", Fraction(self.b))
+
+    def __add__(self, other):
+        return ReferenceExponent(self.a + other.a, self.b + other.b)
+
+    def __sub__(self, other):
+        return ReferenceExponent(self.a - other.a, self.b - other.b)
+
+    def __neg__(self):
+        return ReferenceExponent(-self.a, -self.b)
+
+    def scale(self, q):
+        return ReferenceExponent(self.a * q, self.b * q)
+
+    def __abs__(self):
+        return -self if self.sign() < 0 else self
+
+    def sign(self) -> int:
+        a, b = self.a, self.b
+        if a == 0 and b == 0:
+            return 0
+        if a >= 0 and b >= 0:
+            return 1
+        if a <= 0 and b <= 0:
+            return -1
+        lhs, rhs = a * a, 2 * b * b
+        if a > 0:
+            return 1 if lhs > rhs else -1
+        return 1 if rhs > lhs else -1
+
+    def is_rational(self) -> bool:
+        return self.b == 0
+
+    def __lt__(self, other):
+        return (self - other).sign() < 0
+
+    def __le__(self, other):
+        return (self - other).sign() <= 0
+
+    def __gt__(self, other):
+        return (self - other).sign() > 0
+
+    def __ge__(self, other):
+        return (self - other).sign() >= 0
+
+    def to_float(self) -> float:
+        return float(self.a) + float(self.b) * sqrt(2.0)
+
+
+def reference_format_exponent(e: ReferenceExponent) -> str:
+    if e.b == 0:
+        return str(e.a)
+    if e.b > 0:
+        return f"{e.a}+{e.b}*s2"
+    return f"{e.a}-{-e.b}*s2"
+
+
+@dataclass(frozen=True)
+class ReferenceMagnitude:
+    """Zero (``exponent is None``) or ``rho**exponent``; ``<=`` is
+    ``==`` or ``<``."""
+
+    exponent: Optional[ReferenceExponent]
+
+    def __mul__(self, other):
+        if self.exponent is None or other.exponent is None:
+            return ReferenceMagnitude(None)
+        return ReferenceMagnitude(self.exponent + other.exponent)
+
+    def __lt__(self, other):
+        if self.exponent is None:
+            return other.exponent is not None
+        if other.exponent is None:
+            return False
+        return self.exponent > other.exponent
+
+    def __le__(self, other):
+        return self == other or self < other
+
+    def __gt__(self, other):
+        return other < self
+
+    def __ge__(self, other):
+        return other <= self

@@ -219,6 +219,24 @@ def test_precondition_failures_exit_4():
     assert err == "precondition violated: paths with chain endpoints are not supported\n"
 
 
+def test_polynomial_degree_above_the_limit_exits_4():
+    # T^N stores N+1 coefficients; huge degrees are refused before any
+    # allocation, including ones too long for int()
+    for degree in ("4097", "4000000", "9" * 6000):
+        start = time.perf_counter()
+        code, out, err = invoke(
+            ["eval", "--field", "padic:5", f"--poly=T^{degree}", "disc(0; 1/2)"]
+        )
+        assert time.perf_counter() - start < 2.0, degree[:10]
+        assert (code, out) == (4, ""), degree[:10]
+        assert err == "precondition violated: polynomial degree above the limit 4096\n"
+    code, out, err = invoke(
+        ["eval", "--field", "padic:5", "--poly=T^4096 + T^0004", "disc(0; 1/2)"]
+    )
+    assert (code, err) == (0, "")
+    assert '"exponent": "2"' in out
+
+
 def test_strict_squares_column():
     code, out, err = invoke(
         ["hyper", "--field", "padic:5", "--roots", "0,5", "--lc", "2", "--strict-squares"]

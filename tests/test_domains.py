@@ -23,7 +23,6 @@ from berkline import (
     Poly,
     Rel,
     Type1Point,
-    boundary_points,
     domain_intersect,
     format_domain,
     format_standard_domain,
@@ -31,13 +30,13 @@ from berkline import (
     join,
     max_modulus_check,
     member,
-    membership_is_exact,
     parse_domain,
     parse_poly,
     parse_standard_domain,
     point_eq,
     point_leq,
     reduce_point,
+    seminorm_is_exact,
     shilov_boundary,
     to_domain,
 )
@@ -64,9 +63,9 @@ def test_member_frozen():
 
 def test_member_everything_and_exactness():
     assert member(GAUSS, Domain.everything())
-    assert membership_is_exact(GAUSS)
+    assert seminorm_is_exact(GAUSS)
     chain = ChainPoint(Q5, ((Fraction(0), fin(1)),))
-    assert not membership_is_exact(chain)
+    assert not seminorm_is_exact(chain)
     assert member(chain, to_domain(UNIT_DISC))
 
 
@@ -202,9 +201,10 @@ def test_interior_frozen():
     ann = Annulus(Q5, Fraction(0), fin(1), fin(0))
     for b in shilov_boundary(ann):
         assert not in_interior(b, ann)
-    assert all(
-        point_eq(a, b) for a, b in zip(boundary_points(ann), shilov_boundary(ann))
-    )
+    expected = [DiscPoint(Q5, Fraction(0), MAG_ONE), DiscPoint(Q5, Fraction(0), fin(1))]
+    got = shilov_boundary(ann)
+    assert len(got) == 2
+    assert all(any(point_eq(a, b) for b in got) for a in expected)
 
 
 def test_reduce_frozen():

@@ -25,8 +25,6 @@ from berkline import (
     format_magnitude,
     is_rational_over_value_group,
     mag_max,
-    mag_mul,
-    mag_root,
     parse_exponent,
 )
 
@@ -105,12 +103,12 @@ def test_magnitude_order_is_inverted():
 
 
 def test_magnitude_arithmetic_frozen():
-    assert mag_mul(fin(1), fin(Fraction(1, 2))) == fin(Fraction(3, 2))
-    assert mag_mul(fin(0, 1), fin(0, -1)) == MAG_ONE
-    assert mag_root(fin(1), 2) == fin(Fraction(1, 2))
-    assert mag_root(fin(1, 1), 2) == fin(Fraction(1, 2), Fraction(1, 2))
+    assert fin(1) * fin(Fraction(1, 2)) == fin(Fraction(3, 2))
+    assert fin(0, 1) * fin(0, -1) == MAG_ONE
+    assert fin(1).root(2) == fin(Fraction(1, 2))
+    assert fin(1, 1).root(2) == fin(Fraction(1, 2), Fraction(1, 2))
     assert fin(2) ** 3 == fin(6)
-    assert mag_mul(MAG_ZERO, fin(5)) == MAG_ZERO
+    assert MAG_ZERO * fin(5) == MAG_ZERO
     assert mag_max(MAG_ZERO, fin(2), fin(1)) == fin(1)
 
 
@@ -120,7 +118,7 @@ def test_magnitude_group_laws(e1, e2):
     assert m1 * m2 == m2 * m1
     assert m1 * MAG_ONE == m1
     assert (m1 * m2).exponent == e1 + e2
-    assert mag_root(m1 ** 2, 2) == m1
+    assert (m1 ** 2).root(2) == m1
 
 
 def test_value_group_rationality():
@@ -174,3 +172,32 @@ def test_to_float_agrees_with_exact_order_when_separated():
         )
         if abs(e1.to_float() - e2.to_float()) > 1e-9:
             assert (e1.to_float() < e2.to_float()) == (e1 < e2)
+
+
+def test_constructor_accepts_rationals_only():
+    assert Exponent(True) == Exponent(1)
+    assert Exponent(Fraction(2, 4), 3) == Exponent(Fraction(1, 2), Fraction(6, 2))
+    for bad in (1.5, "1", None):
+        with pytest.raises(TypeError):
+            Exponent(bad)
+        with pytest.raises(TypeError):
+            Exponent(1, bad)
+
+
+def test_exponent_is_read_only():
+    e = Exponent(Fraction(1, 2), 1)
+    for attr in ("a", "b", "c"):
+        with pytest.raises(AttributeError):
+            setattr(e, attr, Fraction(0))
+    assert (e.a, e.b) == (Fraction(1, 2), Fraction(1))
+
+
+def test_integer_magnitudes_are_interned_in_a_bounded_table():
+    from berkline.exponents import _INT_MAGS, _INTERNED, int_magnitude
+
+    for v in (-_INTERNED, -3, 0, 7, _INTERNED):
+        assert int_magnitude(v) is int_magnitude(v)
+        assert int_magnitude(v) == fin(v)
+    big = int_magnitude(_INTERNED + 1)
+    assert big == fin(_INTERNED + 1) and big is not int_magnitude(_INTERNED + 1)
+    assert len(_INT_MAGS) <= 2 * _INTERNED + 1

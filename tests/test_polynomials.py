@@ -217,6 +217,66 @@ def test_newton_slopes_frozen():
         newton_slopes(Poly.make(Q5, []))
 
 
+def _oracle_valuation(field, x):
+    """The valuation exponent of ``x`` as a Fraction (None for zero),
+    read off the element itself rather than from ``field.valuation``."""
+    if field.is_zero(x):
+        return None
+    if field is LSER:
+        return min(g for g, _ in x)
+    v = 0
+    for part, sign in ((x.numerator, 1), (x.denominator, -1)):
+        while part % field.p == 0:
+            part //= field.p
+            v += sign
+    return Fraction(v)
+
+
+def _clustered_roots(rng, field):
+    """Roots with repeats, zeros and tight clusters around earlier roots."""
+    roots = []
+    for _ in range(rng.randint(1, 7)):
+        kind = rng.random()
+        if kind < 0.15:
+            roots.append(field.zero)
+        elif kind < 0.55 and roots:
+            bump = field.mul(rand_element(rng, field, nonzero=True),
+                             field.element_with_valuation(Exponent(rng.randint(1, 4))))
+            roots.append(field.add(rng.choice(roots), bump))
+        elif kind < 0.65 and roots:
+            roots.append(rng.choice(roots))
+        else:
+            roots.append(rand_element(rng, field))
+    return roots
+
+
+def test_newton_slopes_and_root_counts_match_known_roots():
+    # f = prod (T - r_i) with the r_i known: the slopes are the sorted
+    # valuations of the roots, and the roots in E(a, r) are counted by
+    # the valuations of r_i - a; both sides decided on Fractions alone
+    rng = random.Random(4111)
+    for field in (Q5, LSER):
+        for _ in range(60):
+            roots = _clustered_roots(rng, field)
+            f = Poly.constant(field, field.one)
+            for r in roots:
+                f = f * Poly.make(field, (field.neg(r), field.one))
+            vals = [_oracle_valuation(field, r) for r in roots]
+            expected = sorted(vals, key=lambda v: (0, 0) if v is None else (1, -v))
+            got = newton_slopes(f)
+            assert len(got) == len(expected)
+            for m, v in zip(got, expected):
+                assert m.is_zero if v is None else (m.exponent.b, m.exponent.a) == (0, v)
+            centers = [field.zero, rng.choice(roots), rand_element(rng, field)]
+            for a in centers:
+                for e_r in (Fraction(rng.randint(-3, 5), rng.randint(1, 3)), Fraction(1)):
+                    count = 0
+                    for r in roots:
+                        d = _oracle_valuation(field, field.sub(r, a))
+                        count += d is None or d >= e_r
+                    assert count_roots_in_disc(f, a, fin(e_r)) == count
+
+
 def test_newton_slopes_count_matches_degree():
     rng = random.Random(37)
     for field in (Q5, LSER):
