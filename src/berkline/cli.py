@@ -24,7 +24,7 @@ from .domains import (
     to_domain,
     GENERIC,
 )
-from .errors import DomainError, ParseError
+from .errors import DomainError, ParseError, read_literal
 from .exponents import Magnitude, format_exponent, format_length
 from .fields import PAdicField, parse_field
 from .hyperelliptic import (
@@ -61,23 +61,29 @@ def _frac_json(q: Fraction):
     return int(q) if q.denominator == 1 else str(q)
 
 
+def _with_approx(out: dict, approx) -> dict:
+    """``out`` with the display-only float ``approx()``, left out when
+    that is beyond the range of a float."""
+    try:
+        out["approx"] = approx()
+    except OverflowError:
+        pass
+    return out
+
+
 def _mag_json(mag: Magnitude, field=None) -> dict:
     if mag.is_zero:
         return {"zero": True}
     out = {"zero": False, "exponent": format_exponent(mag.exponent)}
     if isinstance(field, PAdicField):
-        out["approx"] = float(field.p) ** (-mag.exponent.to_float())
+        return _with_approx(out, lambda: float(field.p) ** (-mag.exponent.to_float()))
     return out
 
 
 def _realmag_json(v: RealMag) -> dict:
     if v.is_zero:
         return {"zero": True}
-    return {
-        "base": _frac_json(v.base),
-        "exp": _frac_json(v.exp),
-        "approx": v.to_float(),
-    }
+    return _with_approx({"base": _frac_json(v.base), "exp": _frac_json(v.exp)}, v.to_float)
 
 
 def _emit(payload: dict) -> None:
@@ -93,7 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def with_field(p):
         p.add_argument("--field", required=True, help="padic:<p> | puiseux:<B> | trivial:<B>")
-        p.add_argument("--json", action="store_true", help="accepted for symmetry; output is JSON already")
         return p
 
     p = with_field(sub.add_parser("classify", help="point type and invariants"))
@@ -126,12 +131,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mspecz", help="evaluate a real semivaluation on integers")
     p.add_argument("--point", required=True)
     p.add_argument("--values", required=True, help="comma-separated integers")
-    p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("nadic", help="n-adic norm and spectral seminorm of a rational")
     p.add_argument("--n", required=True, type=int)
     p.add_argument("--x", required=True)
-    p.add_argument("--json", action="store_true")
 
     p = with_field(sub.add_parser("elliptic", help="reduction type from the Legendre parameter"))
     p.add_argument("--lambda", dest="lam", required=True)
@@ -269,20 +272,14 @@ def _cmd_reduce(args) -> None:
             {
                 "status": "ok",
                 "generic": False,
-                "residue": field.residue_field.format(r),
+                "residue": field.residue_field.format_element(r),
             }
         )
 
 
 def _cmd_mspecz(args) -> None:
     zp = parse_zpoint(args.point)
-    values = []
-    for chunk in args.values.split(","):
-        chunk = chunk.strip()
-        try:
-            values.append(int(chunk))
-        except ValueError:
-            raise ParseError("integer", chunk) from None
+    values = [read_literal(c, "integer", c, integer=True) for c in args.values.split(",")]
     _emit(
         {
             "status": "ok",
@@ -295,10 +292,7 @@ def _cmd_mspecz(args) -> None:
 
 
 def _cmd_nadic(args) -> None:
-    try:
-        x = Fraction(args.x)
-    except (ValueError, ZeroDivisionError):
-        raise ParseError("rational", args.x) from None
+    x = read_literal(args.x, "rational", args.x)
     _emit(
         {
             "status": "ok",
@@ -327,8 +321,8 @@ def _cmd_elliptic(args) -> None:
             {
                 "status": "ok",
                 "type": "good",
-                "lambda_residue": rf.format(red.lambda_residue),
-                "j_residue": rf.format(red.j_residue),
+                "lambda_residue": rf.format_element(red.lambda_residue),
+                "j_residue": rf.format_element(red.j_residue),
             }
         )
 
@@ -395,6 +389,10 @@ def run(argv) -> int:
     if args.command is None:
         parser.print_usage(sys.stderr)
         return 2
+    # Exact answers are printed in full, however many digits they have;
+    # the literals they come from are bounded by errors.MAX_DIGITS.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         _COMMANDS[args.command](args)
     except ParseError as exc:
@@ -403,6 +401,8 @@ def run(argv) -> int:
     except DomainError as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return 4
+    finally:
+        sys.set_int_max_str_digits(limit)
     return 0
 
 

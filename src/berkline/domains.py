@@ -18,8 +18,8 @@ from dataclasses import dataclass, field as dc_field
 from enum import Enum
 from typing import Optional, Tuple, Union
 
-from .errors import DomainError, ParseError
-from .exponents import Magnitude, format_magnitude, parse_exponent
+from .errors import DomainError, ParseError, split_top
+from .exponents import Magnitude, format_exponent, format_magnitude, parse_exponent
 from .fields import ValuedField
 from .line import (
     ChainPoint,
@@ -346,8 +346,6 @@ def format_standard_domain(sd: StandardDomain) -> str:
     k = sd.field
 
     def e(mag: Magnitude) -> str:
-        from .exponents import format_exponent
-
         return format_exponent(mag.exponent)
 
     if isinstance(sd, ClosedDisc):
@@ -363,32 +361,12 @@ def format_standard_domain(sd: StandardDomain) -> str:
     return f"disc_holes({k.format_element(sd.center)}; {e(sd.radius)}; {holes})"
 
 
-def _split_top(body: str, sep: str, rule: str, original: str):
-    parts = []
-    cur = ""
-    depth = 0
-    for ch in body:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == sep and depth == 0:
-            parts.append(cur)
-            cur = ""
-        else:
-            cur += ch
-    parts.append(cur)
-    if depth != 0:
-        raise ParseError(rule, original, "unbalanced parentheses")
-    return parts
-
-
 def parse_standard_domain(field: ValuedField, text: str) -> StandardDomain:
     s = "".join(text.split())
     for name in ("closed_disc", "annulus", "disc_holes"):
         if s.startswith(name + "(") and s.endswith(")"):
             body = s[len(name) + 1 : -1]
-            parts = _split_top(body, ";", "standard-domain", text)
+            parts = split_top(body, ";", "standard-domain", text)
             try:
                 if name == "closed_disc":
                     if len(parts) != 2:
@@ -403,7 +381,7 @@ def parse_standard_domain(field: ValuedField, text: str) -> StandardDomain:
                         raise ParseError(
                             "standard-domain", text, "expected (a; e_inner, e_outer)"
                         )
-                    exps = _split_top(parts[1], ",", "standard-domain", text)
+                    exps = split_top(parts[1], ",", "standard-domain", text)
                     if len(exps) != 2:
                         raise ParseError(
                             "standard-domain", text, "expected two radius exponents"
@@ -419,7 +397,7 @@ def parse_standard_domain(field: ValuedField, text: str) -> StandardDomain:
                         "standard-domain", text, "expected (a; e; (a1; e1), ...)"
                     )
                 holes = []
-                for item in _split_top(parts[2], ",", "standard-domain", text):
+                for item in split_top(parts[2], ",", "standard-domain", text):
                     if not (item.startswith("(") and item.endswith(")")) or ";" not in item:
                         raise ParseError(
                             "standard-domain", text, f"bad hole {item!r}"

@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import gcd, lcm, sqrt
 from typing import Optional, Union
 
-from .errors import DomainError, ParseError
+from .errors import DomainError, ParseError, read_literal
 
 
 class Ordering(IntEnum):
@@ -398,12 +398,10 @@ def format_length(x: Length) -> str:
 # ---------------------------------------------------------------------
 # Text forms.  Canonical emission is "a" when b == 0 and "a+b*s2" (with
 # the sign of b folded into the separator) otherwise; parsing accepts
-# exactly those shapes, with optional surrounding whitespace.
+# exactly those shapes, with ``a`` and ``b`` rational literals and
+# whitespace ignored.
 
-_RAT = r"-?\d+(?:/\d+)?"
-_EXP_RE = re.compile(
-    rf"^(?P<a>{_RAT})(?:(?P<sign>[+-])(?P<b>\d+(?:/\d+)?)\*s2)?$"
-)
+_EXP_RE = re.compile(r"(?P<a>-?[^-+]+)(?:(?P<sign>[+-])(?P<b>[^-+]+)\*s2)?")
 
 
 def format_exponent(e: Exponent) -> str:
@@ -415,20 +413,14 @@ def format_exponent(e: Exponent) -> str:
 
 
 def parse_exponent(text: str) -> Exponent:
-    s = text.strip().replace(" ", "")
-    m = _EXP_RE.match(s)
+    m = _EXP_RE.fullmatch("".join(text.split()))
     if not m:
         raise ParseError("exponent", text)
-    try:
-        a = Fraction(m.group("a"))
-        b = Fraction(0)
-        if m.group("b") is not None:
-            b = Fraction(m.group("b"))
-            if m.group("sign") == "-":
-                b = -b
-    except ZeroDivisionError:
-        raise ParseError("exponent", text, "zero denominator") from None
-    return Exponent(a, b)
+    a = read_literal(m.group("a"), "exponent", text)
+    if m.group("b") is None:
+        return Exponent(a)
+    b = read_literal(m.group("b"), "exponent", text)
+    return Exponent(a, -b if m.group("sign") == "-" else b)
 
 
 def format_magnitude(m: Magnitude) -> str:

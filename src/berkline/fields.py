@@ -33,7 +33,7 @@ from fractions import Fraction
 from math import isqrt, lcm
 from typing import Optional, Tuple, Union
 
-from .errors import DomainError, ParseError
+from .errors import DomainError, ParseError, read_literal, split_top
 from .exponents import EXP_ZERO, MAG_ZERO, Exponent, Magnitude, int_magnitude
 
 
@@ -201,14 +201,11 @@ class Rationals(_GenericKernels):
         n, d = x.numerator, x.denominator
         return isqrt(n) ** 2 == n and isqrt(d) ** 2 == d
 
-    def format(self, x) -> str:
+    def format_element(self, x) -> str:
         return str(Fraction(x))
 
-    def parse(self, text: str) -> Fraction:
-        try:
-            return Fraction(text.strip())
-        except (ValueError, ZeroDivisionError):
-            raise ParseError("rational", text) from None
+    def parse_element(self, text: str) -> Fraction:
+        return read_literal(text, "rational", text)
 
 
 @dataclass(frozen=True)
@@ -273,14 +270,11 @@ class PrimeField(_GenericKernels):
             return True
         return pow(x, (self.p - 1) // 2, self.p) == 1
 
-    def format(self, x) -> str:
+    def format_element(self, x) -> str:
         return str(x % self.p)
 
-    def parse(self, text: str) -> int:
-        try:
-            return int(text.strip()) % self.p
-        except ValueError:
-            raise ParseError("prime-field element", text) from None
+    def parse_element(self, text: str) -> int:
+        return read_literal(text, "prime-field element", text, integer=True) % self.p
 
 
 QQ = Rationals()
@@ -420,16 +414,17 @@ class PAdicField(_GenericKernels):
         return str(Fraction(x))
 
     def parse_element(self, text: str) -> Fraction:
-        try:
-            return Fraction(text.strip().replace(" ", ""))
-        except (ValueError, ZeroDivisionError):
-            raise ParseError("p-adic element", text) from None
+        return read_literal(text, "p-adic element", text)
 
 
 # ---------------------------------------------------------------------
 # Finite-support Puiseux sums
 
 PuiseuxElem = Tuple[Tuple[Fraction, object], ...]
+
+# A term with a power of t: ``t``, ``-t`` or ``<coefficient>*t``, then
+# optionally ``^(<exponent>)``.
+_PUISEUX_TERM = re.compile(r"(?:(?P<coef>.+)\*|(?P<sign>-?))t(?:\^\((?P<g>[^()]*)\))?")
 
 
 @dataclass(frozen=True)
@@ -645,7 +640,7 @@ class PuiseuxField:
             return "0"
         parts = []
         for g, c in x:
-            ctext = self.base.format(c)
+            ctext = self.base.format_element(c)
             if g == 0:
                 parts.append(ctext)
                 continue
@@ -665,66 +660,25 @@ class PuiseuxField:
         return out
 
     def parse_element(self, text: str) -> PuiseuxElem:
-        s = text.strip().replace(" ", "")
-        if not s:
-            raise ParseError("puiseux element", text, "empty")
         acc: dict = {}
-        for term in _split_terms(s, "puiseux element", text):
+        for term in split_top("".join(text.split()), "+-", "puiseux element", text):
             g, c = self._parse_term(term, text)
             c = self.base.add(acc.get(g, self.base.zero), c)
             acc[g] = c
         return self._normalize(acc)
 
     def _parse_term(self, term: str, original: str):
-        m = re.match(
-            r"^(?P<coef>.+?\*|[+-]?)?t(?:\^\((?P<g>-?\d+(?:/\d+)?)\))?$", term
-        )
-        if m and "t" in term:
+        m = _PUISEUX_TERM.fullmatch(term)
+        if m is None:
             try:
-                g = Fraction(m.group("g")) if m.group("g") else Fraction(1)
-            except ZeroDivisionError:
-                raise ParseError("puiseux element", original, "zero denominator") from None
-            coef = m.group("coef") or ""
-            coef = coef.rstrip("*")
-            if coef in ("", "+"):
-                c = self.base.one
-            elif coef == "-":
-                c = self.base.neg(self.base.one)
-            else:
-                c = self.base.parse(coef)
-            return g, c
-        try:
-            return Fraction(0), self.base.parse(term)
-        except ParseError:
-            raise ParseError("puiseux element", original, f"bad term {term!r}") from None
-
-
-def _split_terms(s: str, rule: str, original: str):
-    """Split on top-level ``+``/``-``, folding signs into the terms."""
-    terms = []
-    cur = ""
-    depth = 0
-    for ch in s:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise ParseError(rule, original, "unbalanced parentheses")
-        if ch in "+-" and depth == 0 and cur:
-            terms.append(cur)
-            cur = "-" if ch == "-" else ""
-            continue
-        if ch == "+" and depth == 0 and not cur:
-            continue
-        cur += ch
-    if depth != 0:
-        raise ParseError(rule, original, "unbalanced parentheses")
-    if cur:
-        terms.append(cur)
-    if not terms:
-        raise ParseError(rule, original, "no terms")
-    return terms
+                return Fraction(0), self.base.parse_element(term)
+            except ParseError:
+                raise ParseError("puiseux element", original, f"bad term {term!r}") from None
+        g = m.group("g")
+        g = Fraction(1) if g is None else read_literal(g, "puiseux element", original)
+        if m.group("coef") is not None:
+            return g, self.base.parse_element(m.group("coef"))
+        return g, self.base.neg(self.base.one) if m.group("sign") else self.base.one
 
 
 # ---------------------------------------------------------------------
@@ -812,12 +766,11 @@ class TrivialField(_GenericKernels):
         return None
 
     def format_element(self, x) -> str:
-        return self.base.format(x)
+        return self.base.format_element(x)
 
     def parse_element(self, text: str):
-        s = text.strip().replace(" ", "")
         try:
-            return self.base.parse(s)
+            return self.base.parse_element(text)
         except ParseError:
             raise ParseError("trivially valued element", text) from None
 

@@ -20,6 +20,7 @@ ramified there and none of the parity reasoning applies.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import List, Tuple, Union
 
 from .errors import DomainError
@@ -99,21 +100,6 @@ def _term_exponents(f: Poly, x: DiscPoint):
     return g, out
 
 
-def _halvable_exponent(field: ValuedField, e: Exponent) -> bool:
-    """Is rho**e a square inside the value group of the field?
-
-    Puiseux magnitudes form a divisible group, so always; p-adic
-    magnitudes need an even integer exponent; the trivial group has
-    only the unit."""
-    from .fields import PAdicField, PuiseuxField
-
-    if isinstance(field, PuiseuxField):
-        return True
-    if isinstance(field, PAdicField):
-        return e.is_rational() and e.a.denominator == 1 and e.a.numerator % 2 == 0
-    return e == Exponent(0)
-
-
 def fiber_count(bd: BranchData, x: Point, strict_squares: bool = False):
     """Number of points of the cover above a disc point: 2 or 1.
 
@@ -142,7 +128,9 @@ def fiber_count(bd: BranchData, x: Point, strict_squares: bool = False):
         if not strict_squares:
             return 2
         e_c = k.valuation(g.coefficient(i_star)).exponent
-        if not _halvable_exponent(k, e_c):
+        # rho**e_c is a square in the value group exactly when some
+        # element has magnitude rho**(e_c/2)
+        if k.element_with_valuation(e_c.scale(Fraction(1, 2))) is None:
             return None
         m0 = k.element_with_valuation(e_c)
         if m0 is None:
@@ -173,7 +161,7 @@ def fiber_count(bd: BranchData, x: Point, strict_squares: bool = False):
         return 1
     if not strict_squares:
         return 2
-    if not _halvable_exponent(k, e_min):
+    if k.element_with_valuation(e_min.scale(Fraction(1, 2))) is None:
         return None
     # the factors are monic, so the constant in front of the square is
     # exactly the leading coefficient

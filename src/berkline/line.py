@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Tuple, Union
 
-from .errors import DomainError, ParseError
+from .errors import DomainError, ParseError, split_top
 from .exponents import (
     EXP_ZERO,
     INF,
@@ -640,7 +640,7 @@ def parse_point(field: ValuedField, text: str) -> Point:
             body, limit_text = body.rsplit(";limit=", 1)
             limit = parse_exponent(limit_text)
         discs = []
-        for item in _split_chain_items(body, text):
+        for item in split_top(body, ",", "point", text):
             if not (item.startswith("(") and item.endswith(")")) or ";" not in item:
                 raise ParseError("point", text, f"bad chain entry {item!r}")
             exp, elem = item[1:-1].split(";", 1)
@@ -652,24 +652,3 @@ def parse_point(field: ValuedField, text: str) -> Point:
         except DomainError as exc:
             raise ParseError("point", text, str(exc)) from None
     raise ParseError("point", text)
-
-
-def _split_chain_items(body: str, original: str):
-    items = []
-    cur = ""
-    depth = 0
-    for ch in body:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "," and depth == 0:
-            items.append(cur)
-            cur = ""
-        else:
-            cur += ch
-    if cur:
-        items.append(cur)
-    if not items or depth != 0:
-        raise ParseError("point", original, "bad chain syntax")
-    return items

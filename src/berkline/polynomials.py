@@ -14,9 +14,9 @@ from fractions import Fraction
 from math import comb
 import re
 
-from .errors import DomainError, ParseError
+from .errors import DomainError, split_top, top_level
 from .exponents import Exponent, Magnitude
-from .fields import ValuedField, _split_terms
+from .fields import ValuedField
 
 
 @dataclass(frozen=True)
@@ -344,30 +344,17 @@ _TERM_RE = re.compile(r"^(?:(?P<coef>.+)\*)?(?P<neg>-)?T(?:\^(?P<k>\d+))?$")
 MAX_DEGREE = 4096
 
 
-def _needs_parens(s: str) -> bool:
-    depth = 0
-    for i, ch in enumerate(s):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif depth == 0 and (ch == "+" or (ch == "-" and i > 0)):
-            return True
-    return False
+def _wrap(text: str) -> str:
+    """A coefficient's text as the factor of a term: in parentheses when
+    it is a sum of several terms."""
+    return f"({text})" if len(split_top(text, "+-", "polynomial", text)) > 1 else text
 
 
-# Residue and base fields expose format/parse, valued fields
-# format_element/parse_element; polynomials live over both.
-def _format_coeff(k, c) -> str:
-    if hasattr(k, "format_element"):
-        return k.format_element(c)
-    return k.format(c)
-
-
-def _parse_coeff(k, text: str):
-    if hasattr(k, "parse_element"):
-        return k.parse_element(text)
-    return k.parse(text)
+def _unwrap(text: str, original: str) -> str:
+    """``text`` without the parentheses that enclose all of it."""
+    while text[:1] == "(" and top_level(text, "polynomial", original) == [0, len(text) - 1]:
+        text = text[1:-1]
+    return text
 
 
 def format_poly(f: Poly) -> str:
@@ -375,14 +362,12 @@ def format_poly(f: Poly) -> str:
         return "0"
     k = f.field
     parts = []
-    one = _format_coeff(k, k.one)
+    one = k.format_element(k.one)
     for i in range(f.degree, -1, -1):
         c = f.coefficient(i)
         if k.is_zero(c):
             continue
-        ctext = _format_coeff(k, c)
-        if _needs_parens(ctext):
-            ctext = f"({ctext})"
+        ctext = _wrap(k.format_element(c))
         if i == 0:
             parts.append(ctext)
         else:
@@ -398,29 +383,12 @@ def format_poly(f: Poly) -> str:
 
 
 def parse_poly(field: ValuedField, text: str) -> Poly:
-    s = text.strip().replace(" ", "")
-    if not s:
-        raise ParseError("polynomial", text, "empty")
     coeffs: dict = {}
-    for term in _split_terms(s, "polynomial", text):
+    for term in split_top("".join(text.split()), "+-", "polynomial", text):
         k, c = _parse_poly_term(field, term, text)
         coeffs[k] = field.add(coeffs.get(k, field.zero), c)
     degree = max(coeffs) if coeffs else 0
     return Poly.make(field, [coeffs.get(i, field.zero) for i in range(degree + 1)])
-
-
-def _strip_parens(s: str) -> str:
-    while s.startswith("(") and s.endswith(")"):
-        depth = 0
-        for i, ch in enumerate(s):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-                if depth == 0 and i != len(s) - 1:
-                    return s
-        s = s[1:-1]
-    return s
 
 
 def _parse_degree(digits) -> int:
@@ -442,10 +410,10 @@ def _parse_poly_term(field: ValuedField, term: str, original: str):
         if m.group("neg"):
             neg = not neg
         coef_text = m.group("coef")
-        c = field.one if coef_text is None else _parse_coeff(field, _strip_parens(coef_text))
+        c = field.one if coef_text is None else field.parse_element(_unwrap(coef_text, original))
     else:
         k = 0
-        c = _parse_coeff(field, _strip_parens(term))
+        c = field.parse_element(_unwrap(term, original))
     if neg:
         c = field.neg(c)
     return k, c

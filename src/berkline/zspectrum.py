@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Tuple, Union
 
-from .errors import DomainError, ParseError
+from .errors import DomainError, ParseError, read_literal
 from .exponents import Ordering
 from .fields import _is_prime, _vp, _vp_int
 
@@ -368,13 +368,14 @@ def parse_zpoint(text: str) -> ZPoint:
             if ",r:" not in body:
                 raise ParseError("zpoint", text, "expected p:<prime>,r:<rational>")
             p_text, r_text = body.split(",r:", 1)
-            return ZPAdic(int(p_text), Fraction(r_text))
+            return ZPAdic(
+                read_literal(p_text, "zpoint", text, integer=True),
+                read_literal(r_text, "zpoint", text),
+            )
         if s.startswith("arch:"):
-            return ZArch(Fraction(s[5:]))
+            return ZArch(read_literal(s[5:], "zpoint", text))
         if s.startswith("pinf:"):
-            return ZPAdicInfty(int(s[5:]))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError("zpoint", text, str(exc)) from None
+            return ZPAdicInfty(read_literal(s[5:], "zpoint", text, integer=True))
     except DomainError as exc:
         raise ParseError("zpoint", text, str(exc)) from None
     raise ParseError("zpoint", text)

@@ -1,7 +1,7 @@
 """Reference implementations kept as independent oracles.
 
-Each one is the plain construction that a faster library routine
-replaced; the tests compare the two on random inputs.
+Each one is the plain construction that a faster or shared library
+routine replaced; the tests compare the two on random inputs.
 """
 
 from dataclasses import dataclass
@@ -12,6 +12,7 @@ from typing import Optional
 from berkline import (
     INF,
     DiscPoint,
+    Exponent,
     Poly,
     SkeletonEdge,
     SkeletonGraph,
@@ -22,6 +23,8 @@ from berkline import (
     point_eq,
     point_leq,
 )
+from berkline.errors import ParseError
+from berkline.fields import PAdicField, PuiseuxField
 from berkline.line import _anchor, _radius_exponent_or_inf
 
 
@@ -200,3 +203,112 @@ class ReferenceMagnitude:
 
     def __ge__(self, other):
         return other <= self
+
+
+# ---------------------------------------------------------------------
+# The text helpers that ``errors.split_top`` and ``errors.top_level``
+# replaced, as they were: one paren-depth scan per grammar.
+
+
+def old_split_terms(s: str, rule: str, original: str):
+    """Split on top-level ``+``/``-``, folding signs into the terms."""
+    terms = []
+    cur = ""
+    depth = 0
+    for ch in s:
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+            if depth < 0:
+                raise ParseError(rule, original, "unbalanced parentheses")
+        if ch in "+-" and depth == 0 and cur:
+            terms.append(cur)
+            cur = "-" if ch == "-" else ""
+            continue
+        if ch == "+" and depth == 0 and not cur:
+            continue
+        cur += ch
+    if depth != 0:
+        raise ParseError(rule, original, "unbalanced parentheses")
+    if cur:
+        terms.append(cur)
+    if not terms:
+        raise ParseError(rule, original, "no terms")
+    return terms
+
+
+def old_split_top(body: str, sep: str, rule: str, original: str):
+    parts = []
+    cur = ""
+    depth = 0
+    for ch in body:
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        if ch == sep and depth == 0:
+            parts.append(cur)
+            cur = ""
+        else:
+            cur += ch
+    parts.append(cur)
+    if depth != 0:
+        raise ParseError(rule, original, "unbalanced parentheses")
+    return parts
+
+
+def old_split_chain_items(body: str, original: str):
+    items = []
+    cur = ""
+    depth = 0
+    for ch in body:
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        if ch == "," and depth == 0:
+            items.append(cur)
+            cur = ""
+        else:
+            cur += ch
+    if cur:
+        items.append(cur)
+    if not items or depth != 0:
+        raise ParseError("point", original, "bad chain syntax")
+    return items
+
+
+def old_needs_parens(s: str) -> bool:
+    depth = 0
+    for i, ch in enumerate(s):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        elif depth == 0 and (ch == "+" or (ch == "-" and i > 0)):
+            return True
+    return False
+
+
+def old_strip_parens(s: str) -> str:
+    while s.startswith("(") and s.endswith(")"):
+        depth = 0
+        for i, ch in enumerate(s):
+            if ch == "(":
+                depth += 1
+            elif ch == ")":
+                depth -= 1
+                if depth == 0 and i != len(s) - 1:
+                    return s
+        s = s[1:-1]
+    return s
+
+
+def old_halvable_exponent(field, e) -> bool:
+    """Is rho**e a square inside the value group of the field?"""
+    if isinstance(field, PuiseuxField):
+        return True
+    if isinstance(field, PAdicField):
+        return e.is_rational() and e.a.denominator == 1 and e.a.numerator % 2 == 0
+    return e == Exponent(0)

@@ -2,7 +2,12 @@
 
 import contextlib
 import io
+import json
+import re
+import sys
 import time
+
+from hypothesis import given, settings, strategies as st
 
 from berkline.cli import run
 
@@ -138,6 +143,10 @@ def test_unknown_subcommand_exits_2():
     code, _, err = invoke([])
     assert code == 2
     assert err.startswith("usage:")
+    # --json was accepted and ignored; output is JSON without it
+    code, out, err = invoke(["classify", "--field", "padic:5", "--json", "pt1(0)"])
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --json" in err
 
 
 def test_parse_failures_exit_3():
@@ -148,6 +157,27 @@ def test_parse_failures_exit_3():
         "parse error [point]: cannot parse 'point' from 'disc(0 1/2)': "
         "disc needs a center and an exponent\n"
     )
+    # literals beyond the digit limit or in exponent notation, and
+    # empty parts, are grammar errors like any other
+    digits = "9" * 5000
+    for argv in (
+        ["classify", "--field", "padic:5", f"disc(0; {digits})"],
+        ["classify", "--field", "puiseux:Q", f"pt1(t^({digits}))"],
+        ["classify", "--field", "padic:5", "pt1(1e20000000)"],
+        ["nadic", "--n", "10", "--x", "1e200000"],
+        ["classify", "--field", "padic:5", "chain[(0;0),]"],
+        ["eval", "--field", "padic:5", "--poly", "T+", "pt1(0)"],
+        ["classify", "--field", "padic:5", "chain[,(0;0)]"],
+        ["shilov", "--field", "padic:5", "--standard", "disc_holes(0; 0; (1;1),)"],
+        ["eval", "--field", "padic:5", "--poly", "T-", "pt1(0)"],
+        ["member", "--field", "padic:5", f"--domain=|T| <= rho^({digits}) * |1|", "pt1(0)"],
+        ["mspecz", "--point", "p:5,r:1/2", "--values", "1,2,"],
+    ):
+        start = time.perf_counter()
+        code, out, err = invoke(argv)
+        assert time.perf_counter() - start < 2.0, argv
+        assert (code, out) == (3, ""), argv
+        assert err.startswith("parse error [") and err.count("\n") == 1, argv
     code, _, err = invoke(["classify", "--field", "padic:4", "disc(0; 1)"])
     assert code == 3
     assert err == (
@@ -254,6 +284,83 @@ def test_strict_squares_column():
         '{"genus": 0, "id": 1, "marked": true, "point": "pt1(0)", "type": 1}, '
         '{"genus": 0, "id": 2, "marked": true, "point": "pt1(5)", "type": 1}]}\n'
     )
+    # The same column over puiseux:Q and trivial:Q.  With lc = t both
+    # points above the Gauss point are defined over the field itself (t
+    # has the square root t^(1/2)); with lc = 2 they need sqrt(2), so the
+    # column reads null there.
+    for argv, expected in (
+        (
+            ["hyper", "--field", "puiseux:Q", "--roots", "0,t,1,1+t", "--lc", "t", "--strict-squares"],
+            '{"betti": 1, "edges": [{"len": "1", "u": 1, "v": 0}, '
+            '{"len": "1", "u": 2, "v": 0}, '
+            '{"len": "inf", "u": 3, "v": 1}, '
+            '{"len": "inf", "u": 4, "v": 2}, '
+            '{"len": "inf", "u": 5, "v": 2}, '
+            '{"len": "inf", "u": 6, "v": 1}]'
+            ', "fibers": [2, 1, 1, 1, 1, 1, 1]'
+            ', "splits": [true, true, false, false, false, false]'
+            ', "status": "ok", "strict_fibers": [2, 1, 1, null, null, null, null]'
+            ', "total_genus": 1, "vertex_genera": [0, 0, 0, 0, 0, 0, 0]'
+            ', "vertices": [{"genus": 0, "id": 0, "marked": false, "point": "disc(0; 0)", "type": 2}, '
+            '{"genus": 0, "id": 1, "marked": false, "point": "disc(0; 1)", "type": 2}, '
+            '{"genus": 0, "id": 2, "marked": false, "point": "disc(1; 1)", "type": 2}, '
+            '{"genus": 0, "id": 3, "marked": true, "point": "pt1(0)", "type": 1}, '
+            '{"genus": 0, "id": 4, "marked": true, "point": "pt1(1)", "type": 1}, '
+            '{"genus": 0, "id": 5, "marked": true, "point": "pt1(1+t)", "type": 1}, '
+            '{"genus": 0, "id": 6, "marked": true, "point": "pt1(t)", "type": 1}]}\n',
+        ),
+        (
+            ["hyper", "--field", "puiseux:Q", "--roots", "0,t,1,1+t", "--lc", "2", "--strict-squares"],
+            '{"betti": 1, "edges": [{"len": "1", "u": 1, "v": 0}, '
+            '{"len": "1", "u": 2, "v": 0}, '
+            '{"len": "inf", "u": 3, "v": 1}, '
+            '{"len": "inf", "u": 4, "v": 2}, '
+            '{"len": "inf", "u": 5, "v": 2}, '
+            '{"len": "inf", "u": 6, "v": 1}]'
+            ', "fibers": [2, 1, 1, 1, 1, 1, 1]'
+            ', "splits": [true, true, false, false, false, false]'
+            ', "status": "ok", "strict_fibers": [null, 1, 1, null, null, null, null]'
+            ', "total_genus": 1, "vertex_genera": [0, 0, 0, 0, 0, 0, 0]'
+            ', "vertices": [{"genus": 0, "id": 0, "marked": false, "point": "disc(0; 0)", "type": 2}, '
+            '{"genus": 0, "id": 1, "marked": false, "point": "disc(0; 1)", "type": 2}, '
+            '{"genus": 0, "id": 2, "marked": false, "point": "disc(1; 1)", "type": 2}, '
+            '{"genus": 0, "id": 3, "marked": true, "point": "pt1(0)", "type": 1}, '
+            '{"genus": 0, "id": 4, "marked": true, "point": "pt1(1)", "type": 1}, '
+            '{"genus": 0, "id": 5, "marked": true, "point": "pt1(1+t)", "type": 1}, '
+            '{"genus": 0, "id": 6, "marked": true, "point": "pt1(t)", "type": 1}]}\n',
+        ),
+        (
+            ["hyper", "--field", "trivial:Q", "--roots", "0,1,2,3", "--lc", "2", "--strict-squares"],
+            '{"betti": 0, "edges": [{"len": "inf", "u": 1, "v": 0}, '
+            '{"len": "inf", "u": 2, "v": 0}, '
+            '{"len": "inf", "u": 3, "v": 0}, '
+            '{"len": "inf", "u": 4, "v": 0}]'
+            ', "fibers": [1, 1, 1, 1, 1]'
+            ', "splits": [false, false, false, false]'
+            ', "status": "ok", "strict_fibers": [1, null, null, null, null]'
+            ', "total_genus": 1, "vertex_genera": [1, 0, 0, 0, 0]'
+            ', "vertices": [{"genus": 1, "id": 0, "marked": false, "point": "disc(0; 0)", "type": 2}, '
+            '{"genus": 0, "id": 1, "marked": true, "point": "pt1(0)", "type": 1}, '
+            '{"genus": 0, "id": 2, "marked": true, "point": "pt1(1)", "type": 1}, '
+            '{"genus": 0, "id": 3, "marked": true, "point": "pt1(2)", "type": 1}, '
+            '{"genus": 0, "id": 4, "marked": true, "point": "pt1(3)", "type": 1}]}\n',
+        ),
+    ):
+        assert invoke(argv) == (0, expected, ""), argv
+
+
+def test_large_values_print_exactly():
+    # approx is display only and is left out beyond the float range
+    code, out, err = invoke(["eval", "--field", "padic:5", "--poly", "T", "disc(0; -500)"])
+    assert (code, err) == (0, "")
+    assert out == '{"exact": true, "status": "ok", "value": {"exponent": "-500", "zero": false}}\n'
+    # j = 256 (l^2 - l + 1)^3 / (l^2 (l - 1)^2) has about 6,000 digits here,
+    # past the interpreter's default limit for int-to-str conversion
+    limit = sys.get_int_max_str_digits()
+    code, out, err = invoke(["elliptic", "--field", "puiseux:Q", "--lambda=" + "7" * 1000])
+    assert (code, err) == (0, "")
+    assert len(json.loads(out)["j_residue"]) > 4300
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_eval_reports_exact_zero():
@@ -263,3 +370,170 @@ def test_eval_reports_exact_zero():
     assert code == 0
     assert err == ""
     assert out == '{"exact": true, "status": "ok", "value": {"zero": true}}\n'
+
+
+# ---------------------------------------------------------------------
+# Grammar-aware fuzz: argvs for every subcommand built from the documented
+# grammars, then mutated the way hand-typed input goes wrong.  Whatever
+# comes in, the CLI answers with exit 0, 2, 3 or 4 and never a traceback.
+
+_SUBCOMMANDS = (
+    "classify", "eval", "path", "hull", "member", "shilov",
+    "reduce", "mspecz", "nadic", "elliptic", "hyper", "retract",
+)
+_SELECTORS = ("padic:5", "padic:2", "puiseux:Q", "puiseux:F3", "trivial:Q", "trivial:F7")
+_digits = st.text("0123456789", min_size=1, max_size=3)
+
+
+@st.composite
+def _literal(draw, integer=False):
+    text = draw(st.sampled_from(("", "-"))) + draw(_digits)
+    if not integer and draw(st.booleans()):
+        text += f"/{draw(st.integers(1, 999))}"
+    return text
+
+
+@st.composite
+def _exponent(draw):
+    text = draw(_literal())
+    if draw(st.integers(0, 3)) == 0:
+        text += draw(st.sampled_from("+-")) + draw(_digits) + "*s2"
+    return text
+
+
+@st.composite
+def _element(draw, sel):
+    integer = sel.endswith("F3") or sel.endswith("F7")
+    if not sel.startswith("puiseux"):
+        return draw(_literal(integer))
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        c = draw(_literal(integer))
+        form = draw(st.integers(0, 2))
+        terms.append(c if form == 0 else f"{c}*t" if form == 1 else f"{c}*t^({draw(_literal())})")
+    return _sum(terms)
+
+
+def _sum(terms, plus="+"):
+    return terms[0] + "".join(t if t.startswith("-") else plus + t for t in terms[1:])
+
+
+@st.composite
+def _point(draw, sel):
+    kind = draw(st.integers(0, 2))
+    if kind == 0:
+        return f"pt1({draw(_element(sel))})"
+    if kind == 1:
+        return f"disc({draw(_element(sel))}; {draw(_exponent())})"
+    radii = sorted(draw(st.sets(st.integers(-9, 9), min_size=1, max_size=3)))
+    items = ",".join(f"({e};{draw(_element(sel))})" for e in radii)
+    limit = f"; limit={draw(_exponent())}" if draw(st.booleans()) else ""
+    return f"chain[{items}{limit}]"
+
+
+@st.composite
+def _poly(draw, sel):
+    terms = [f"({draw(_element(sel))})*T^{draw(st.integers(0, 5))}"]
+    terms += [draw(_element(sel)) for _ in range(draw(st.integers(0, 2)))]
+    return _sum(terms, " + ")
+
+
+@st.composite
+def _standard(draw, sel):
+    a, e = draw(_element(sel)), draw(_exponent())
+    kind = draw(st.integers(0, 2))
+    if kind == 0:
+        return f"closed_disc({a}; {e})"
+    if kind == 1:
+        return f"annulus({a}; {e}, {draw(_exponent())})"
+    holes = ", ".join(
+        f"({draw(_element(sel))}; {draw(_exponent())})" for _ in range(draw(st.integers(1, 2)))
+    )
+    return f"disc_holes({a}; {e}; {holes})"
+
+
+@st.composite
+def _argv(draw):
+    """A subcommand and its arguments, all valid in form; options are
+    written ``--name=value`` because values may begin with a minus."""
+    sub = draw(st.sampled_from(_SUBCOMMANDS))
+    sel = draw(st.sampled_from(_SELECTORS))
+    field = ["--field=" + sel]
+    point = lambda: draw(_point(sel))  # noqa: E731
+    if sub == "classify" or sub == "reduce":
+        return [sub, *field, point()]
+    if sub == "eval":
+        return [sub, *field, "--poly=" + draw(_poly(sel)), point()]
+    if sub == "path":
+        return [sub, *field, point(), point()]
+    if sub == "hull":
+        return [sub, *field, *(point() for _ in range(draw(st.integers(1, 3))))]
+    if sub == "member":
+        if draw(st.booleans()):
+            return [sub, *field, "--standard=" + draw(_standard(sel)), point()]
+        bound = f"|{draw(_poly(sel))}| <= rho^({draw(_exponent())}) * |{draw(_poly(sel))}|"
+        return [sub, *field, "--domain=" + bound, point()]
+    if sub == "shilov":
+        return [sub, *field, "--standard=" + draw(_standard(sel))]
+    if sub == "mspecz":
+        zp = draw(st.sampled_from(("trivial", "p:5,r:{}", "arch:{}", "pinf:7")))
+        values = ",".join(draw(_literal(True)) for _ in range(draw(st.integers(1, 3))))
+        return [sub, "--point=" + zp.format(draw(_literal())), "--values=" + values]
+    if sub == "nadic":
+        return [sub, "--n=" + draw(st.sampled_from(("2", "6", "12", "30"))), "--x=" + draw(_literal())]
+    if sub == "elliptic":
+        return [sub, *field, "--lambda=" + draw(_element(sel))]
+    if sub == "hyper":
+        roots = ",".join(draw(_element(sel)) for _ in range(draw(st.integers(1, 5))))
+        form = draw(st.sampled_from(([], ["--dot"], ["--strict-squares"])))
+        return [sub, *field, "--roots=" + roots, *form]
+    hull = ["--hull-point=" + point() for _ in range(draw(st.integers(1, 3)))]
+    return [sub, *field, *hull, point()]
+
+
+@st.composite
+def _mutated(draw, text):
+    kind = draw(st.sampled_from(("digits", "exponent", "double", "trail", "parens")))
+    runs = [m.span() for m in re.finditer(r"[0-9]+", text)]
+    if kind in ("digits", "exponent") and runs:
+        i, j = draw(st.sampled_from(runs))
+        if kind == "digits":
+            return text[:i] + "7" * draw(st.sampled_from((700, 5000))) + text[j:]
+        return text[:j] + "e20000000" + text[j:]
+    if kind == "double":
+        seps = [i for i, ch in enumerate(text) if ch in ",;+-*"]
+        if not seps:
+            return text + ","
+        i = draw(st.sampled_from(seps))
+        return text[: i + 1] + text[i:]
+    if kind == "trail":
+        ends = [i for i, ch in enumerate(text) if ch in ")]"] + [len(text)]
+        i = draw(st.sampled_from(ends))
+        return text[:i] + draw(st.sampled_from(",;+-")) + text[i:]
+    i = draw(st.integers(0, len(text)))
+    j = draw(st.integers(i, len(text)))
+    return text[:i] + "((" + text[i:j] + "))" + text[j:]
+
+
+@settings(max_examples=300, deadline=2000)
+@given(st.data())
+def test_cli_fuzz_exits_0_2_3_or_4(data):
+    argv = data.draw(_argv())
+    texts = [
+        i for i, a in enumerate(argv[1:], 1)
+        if not a.startswith(("--field=", "--dot", "--strict"))
+    ]
+    for _ in range(data.draw(st.integers(0, 2))):
+        i = data.draw(st.sampled_from(texts))
+        # an option keeps its name; only its value is mutated
+        name, eq, value = argv[i].partition("=") if argv[i].startswith("--") else ("", "", argv[i])
+        argv[i] = name + eq + data.draw(_mutated(value))
+    code, out, err = invoke(argv)
+    assert code in (0, 2, 3, 4), argv
+    if code == 0:
+        assert err == ""
+        assert out.startswith("graph ") or (out.count("\n") == 1 and '"status": "ok"' in out)
+    else:
+        assert out == ""
+    if code in (3, 4):
+        assert err.count("\n") == 1
