@@ -14,11 +14,10 @@ domain is presented, not the finest class its underlying set lies in.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field as dc_field
 from enum import Enum
 from typing import Optional, Tuple, Union
 
-from .errors import DomainError, ParseError, split_top
+from .errors import DomainError, ParseError, record, split_top
 from .exponents import Magnitude, format_exponent, format_magnitude, parse_exponent
 from .fields import ValuedField
 from .line import (
@@ -42,7 +41,7 @@ def _is_one(p: Poly) -> bool:
     return p.degree == 0 and k.is_zero(k.sub(p.coefficient(0), k.one))
 
 
-@dataclass(frozen=True)
+@record
 class Inequality:
     """``|f(x)| rel bound * |g(x)|``; strict variants exist only for
     internal use by open discs and are not part of the text grammar."""
@@ -75,14 +74,14 @@ class DomainClass(Enum):
     GENERAL = "general"
 
 
-@dataclass(frozen=True)
+@record
 class Domain:
     """Conjunction of inequalities; the empty conjunction is the whole
     line.  The no-common-zero hypothesis behind the rational class is
     recorded by the tag, not verified; a violation just yields a domain
     with fewer points than the name suggests."""
 
-    inequalities: Tuple[Inequality, ...] = dc_field(default_factory=tuple)
+    inequalities: Tuple[Inequality, ...] = ()
 
     def __post_init__(self):
         fields = {iq.f.field for iq in self.inequalities}
@@ -125,7 +124,7 @@ def domain_intersect(d1: Domain, d2: Domain) -> Domain:
 # Standard shapes with explicit Shilov boundaries
 
 
-@dataclass(frozen=True)
+@record
 class ClosedDisc:
     field: ValuedField
     center: object
@@ -136,7 +135,7 @@ class ClosedDisc:
             raise DomainError("disc radius must be positive")
 
 
-@dataclass(frozen=True)
+@record
 class Annulus:
     """Closed annulus: inner radius ``s`` up to outer radius ``r``."""
 
@@ -152,7 +151,7 @@ class Annulus:
             raise DomainError("annulus needs inner radius <= outer radius")
 
 
-@dataclass(frozen=True)
+@record
 class DiscMinusHoles:
     """Closed disc with pairwise disjoint open subdiscs removed.  The
     removed discs being open is what keeps their maximal points inside;

@@ -1,4 +1,5 @@
-"""Exception types shared across the library, and the text layer every
+"""Exception types shared across the library, the records its values are
+built from, the size bounds of exact work, and the text layer every
 grammar reads through: one scanner for parentheses with the split built
 on it, and one reader for rational and integer literals."""
 
@@ -25,6 +26,83 @@ class ParseError(ValueError):
         if reason:
             msg += f": {reason}"
         super().__init__(msg)
+
+
+def _refuse_set(self, name, value):
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
+def _refuse_del(self, name):
+    raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Frozen:
+    """Base of the hand-written ``__slots__`` records: their fields are
+    set once, through the slot descriptors, and never assigned again."""
+
+    __slots__ = ()
+    __setattr__ = _refuse_set
+    __delattr__ = _refuse_del
+
+
+def record(cls):
+    """Make ``cls`` an immutable record of its annotated fields, in order.
+
+    The methods are those of a frozen dataclass, built from closures: an
+    ``__init__`` taking the fields by position or name (a class attribute
+    of the same name is the default) and then running ``__post_init__``
+    when the class has one; a ``repr`` that lists the fields;
+    ``AttributeError`` on assignment; and equality within one class by
+    the field tuple, hashed as that tuple.  An ``__eq__`` the class
+    defines itself is kept.  The hot records of the library are written
+    out by hand on :class:`Frozen` instead.
+    """
+    names = tuple(cls.__dict__.get("__annotations__", ()))
+    defaults = {n: cls.__dict__[n] for n in names if n in cls.__dict__}
+    post_init = getattr(cls, "__post_init__", None)
+    set_field = object.__setattr__
+
+    def __init__(self, *args, **kwargs):
+        if len(args) > len(names):
+            raise TypeError(f"{cls.__name__}() takes {len(names)} arguments")
+        values = dict(defaults)
+        values.update(zip(names, args))
+        for name, value in kwargs.items():
+            if name not in names or name in names[: len(args)]:
+                raise TypeError(f"{cls.__name__}() got an unexpected argument {name!r}")
+            values[name] = value
+        for name in names:
+            if name not in values:
+                raise TypeError(f"{cls.__name__}() missing argument {name!r}")
+            set_field(self, name, values[name])
+        if post_init is not None:
+            post_init(self)
+
+    def fields(self) -> tuple:
+        return tuple([getattr(self, n) for n in names])
+
+    def __repr__(self):
+        inner = ", ".join(f"{n}={getattr(self, n)!r}" for n in names)
+        return f"{self.__class__.__qualname__}({inner})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or fields(self) == fields(other)
+
+    def __hash__(self):
+        return hash(fields(self))
+
+    methods = [__init__, __repr__]
+    if "__eq__" not in cls.__dict__:
+        methods.append(__eq__)
+    if cls.__dict__.get("__hash__") is None:  # None: Python unsets it beside an own __eq__
+        methods.append(__hash__)
+    for method in methods:
+        method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
+        setattr(cls, method.__name__, method)
+    cls.__setattr__, cls.__delattr__ = _refuse_set, _refuse_del
+    return cls
 
 
 def top_level(text: str, rule: str, original: str) -> list:
@@ -75,6 +153,13 @@ def split_top(text: str, seps: str, rule: str, original: str) -> list:
 # depend on the interpreter's setting.
 MAX_DIGITS = 4300
 
+# The largest number, in bits, that exact work over Q may build: the
+# value ``v**n * f(u/v)`` of an evaluation, the coefficients of a Taylor
+# shift (whose constant term is ``f(a)``) and a power ``p**e``.  Each
+# knows its size before any arithmetic runs, so work beyond this is
+# refused with DomainError up front instead of running for minutes.
+MAX_EXACT_BITS = 1 << 20
+
 _LITERAL = re.compile(r"(-?)([0-9]+)(?:/([0-9]+))?")
 
 
@@ -101,3 +186,9 @@ def read_literal(text: str, rule: str, original: str, integer: bool = False):
     if d == 0:
         raise ParseError(rule, original, "zero denominator")
     return Fraction(n, d)
+
+
+def check_bits(bits: int, what: str) -> None:
+    """Refuse exact work whose numbers would exceed ``MAX_EXACT_BITS``."""
+    if bits > MAX_EXACT_BITS:
+        raise DomainError(f"{what} would need numbers above {MAX_EXACT_BITS} bits")

@@ -17,13 +17,12 @@ rational sign tests; no floating point enters any decision.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
 from math import gcd, lcm, sqrt
 from typing import Optional, Union
 
-from .errors import DomainError, ParseError, read_literal
+from .errors import DomainError, Frozen, ParseError, read_literal
 
 
 class Ordering(IntEnum):
@@ -218,16 +217,30 @@ def exp_compare(e1: Exponent, e2: Exponent) -> Ordering:
 # Magnitudes
 
 
-@dataclass(frozen=True)
-class Magnitude:
+class Magnitude(Frozen):
     """Zero, or the positive real ``rho**exponent`` with ``rho`` in (0, 1).
 
     ``exponent is None`` encodes the zero magnitude.  Multiplication adds
     exponents (zero is absorbing); comparisons invert the exponent order
     because the base is below one.  ``Magnitude.unit()`` is ``rho**0``.
+    Equal magnitudes have equal exponents, and hash as ``(exponent,)``.
     """
 
-    exponent: Optional[Exponent]
+    __slots__ = ("exponent",)
+
+    def __init__(self, exponent: Optional[Exponent]):
+        _set_exponent(self, exponent)
+
+    def __repr__(self) -> str:
+        return f"Magnitude(exponent={self.exponent!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not Magnitude:
+            return NotImplemented
+        return self.exponent == other.exponent
+
+    def __hash__(self) -> int:
+        return hash((self.exponent,))
 
     @staticmethod
     def zero() -> "Magnitude":
@@ -291,6 +304,8 @@ class Magnitude:
     def __str__(self) -> str:
         return format_magnitude(self)
 
+
+_set_exponent = Magnitude.exponent.__set__
 
 MAG_ZERO = Magnitude.zero()
 MAG_ONE = Magnitude.unit()

@@ -18,22 +18,25 @@ Magnitudes come back as :class:`berkline.exponents.Magnitude` values in
 log scale, so ``valuation(p) == rho**1`` for ``PAdicField(p)`` and
 ``valuation(t) == rho**1`` for any Puiseux backend.
 
-Three methods serve the polynomial layer: ``taylor_shift_coeffs`` and
-``mul_coeffs`` (every field, base fields included; Puiseux fields run
-both on integer exponent keys) and ``trim_center`` (the valued
-backends), which returns a center of the same disc with everything of
-size at most the radius removed.
+Four methods serve the polynomial layer: ``taylor_shift_coeffs``,
+``mul_coeffs`` and ``evaluate_coeffs`` (every field, base fields
+included) and ``trim_center`` (the valued backends), which returns a
+center of the same disc with everything of size at most the radius
+removed.  The first three are written once per base field: ``padic`` and
+``trivial`` backends forward them to their base, and Puiseux fields run
+shifts and products on integer exponent keys through the base's keyed
+kernels.  Over Q all of these run on Python ints with the denominators
+cleared once.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
 from typing import Optional, Tuple, Union
 
-from .errors import DomainError, ParseError, read_literal, split_top
+from .errors import DomainError, ParseError, check_bits, read_literal, record, split_top
 from .exponents import EXP_ZERO, MAG_ZERO, Exponent, Magnitude, int_magnitude
 
 
@@ -74,25 +77,56 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _synthetic_shift(k, coeffs, a) -> list:
-    """Coefficients of ``f(T + a)`` from those of ``f``, low degree first.
+def _horner(k, coeffs, a):
+    """``f(a)`` by Horner's rule through the field's own ``add`` and ``mul``."""
+    acc = k.zero
+    for c in reversed(coeffs):
+        acc = k.add(k.mul(acc, a), c)
+    return acc
 
-    Classic synthetic-division sweep: ``a`` is folded in one row at a
-    time, so the cost is quadratic in the degree with no binomials.
-    """
-    cs = list(coeffs)
+
+def _shift_ints(cs: list, a: int) -> None:
+    """Shift the integers ``cs`` (low degree first) by the integer ``a``
+    in place: the synthetic-division sweep, one row at a time."""
     n = len(cs)
-    for i in range(n):
+    for i in range(n - 1):
+        acc = cs[-1]
         for j in range(n - 2, i - 1, -1):
-            cs[j] = k.add(cs[j], k.mul(a, cs[j + 1]))
-    return cs
+            acc = cs[j] = cs[j] + a * acc
 
 
-class _GenericKernels:
-    """Taylor shifts and products through the field's own ``add`` and ``mul``."""
+def _scales(L: int, D: int, n: int) -> list:
+    """``[L*D**(n-1), ..., L*D, L]``: the factor that clears the
+    denominators of coefficient ``j`` of a shift by ``A/D``."""
+    out = [L]
+    for _ in range(n - 1):
+        out.append(out[-1] * D)
+    out.reverse()
+    return out
+
+
+class _BaseKernels:
+    """The polynomial kernels of a base field through its own ``add``,
+    ``mul`` and ``fma``; :class:`Rationals` overrides them with integer
+    kernels.
+
+    Dense coefficient lists (low degree first) serve polynomials over the
+    field itself, and through forwarding over ``padic`` and ``trivial``
+    backends.  Keyed rows serve polynomials over Puiseux sums with this
+    base: each coefficient is a list of ``(int key, base coefficient)``
+    terms, the keys being exponents scaled to integers by
+    :func:`_int_keys`; they come back as dicts from key to coefficient.
+    """
 
     def taylor_shift_coeffs(self, coeffs, a) -> list:
-        return _synthetic_shift(self, coeffs, a)
+        """Coefficients of ``f(T + a)``: ``a`` is folded in one row at a
+        time, so the cost is quadratic in the degree with no binomials."""
+        cs = list(coeffs)
+        n = len(cs)
+        for i in range(n):
+            for j in range(n - 2, i - 1, -1):
+                cs[j] = self.fma(cs[j], a, cs[j + 1])
+        return cs
 
     def mul_coeffs(self, xs, ys) -> list:
         """Schoolbook product of two nonempty coefficient lists."""
@@ -101,7 +135,45 @@ class _GenericKernels:
             if self.is_zero(a):
                 continue
             for j, b in enumerate(ys):
-                out[i + j] = self.add(out[i + j], self.mul(a, b))
+                out[i + j] = self.fma(out[i + j], a, b)
+        return out
+
+    def evaluate_coeffs(self, coeffs, a):
+        return _horner(self, coeffs, a)
+
+    def shift_keyed(self, shift, rows) -> list:
+        """The synthetic-division sweep on keyed rows: every fold of the
+        shift into a row is one ``fma`` per pair of terms, and zeros are
+        dropped once per row update."""
+        mul, fma, is_zero = self.mul, self.fma, self.is_zero
+        rows = [dict(row) for row in rows]
+        n = len(rows)
+        for i in range(n):
+            for j in range(n - 2, i - 1, -1):
+                src = rows[j + 1]
+                if not src:
+                    continue
+                row = rows[j]
+                for ga, ca in shift:
+                    for gs, cs in src.items():
+                        key = ga + gs
+                        old = row.get(key)
+                        row[key] = mul(ca, cs) if old is None else fma(old, ca, cs)
+                rows[j] = {g: c for g, c in row.items() if not is_zero(c)}
+        return rows
+
+    def mul_keyed(self, xs, ys) -> list:
+        """Schoolbook product of keyed rows, one ``fma`` per term pair."""
+        mul, fma = self.mul, self.fma
+        out = [{} for _ in range(len(xs) + len(ys) - 1)]
+        for i, x in enumerate(xs):
+            for j, y in enumerate(ys):
+                row = out[i + j]
+                for ga, ca in x:
+                    for gb, cb in y:
+                        key = ga + gb
+                        old = row.get(key)
+                        row[key] = mul(ca, cb) if old is None else fma(old, ca, cb)
         return out
 
 
@@ -145,9 +217,17 @@ def _from_int_keys(rows, d, is_zero) -> list:
 # Base / residue fields
 
 
-@dataclass(frozen=True)
-class Rationals(_GenericKernels):
-    """The rational numbers as a coefficient or residue field."""
+@record
+class Rationals(_BaseKernels):
+    """The rational numbers as a coefficient or residue field.
+
+    The polynomial kernels run fraction-free (von zur Gathen and
+    Gerhard, *Modern Computer Algebra*, ch. 6; Bareiss 1968): the
+    denominators are cleared once, the sweep runs on Python ints, and
+    each output coefficient is divided once.  Over a Puiseux field with
+    this base the same happens on keyed rows.  Shifts of degree at most
+    one keep the direct fold, which is faster there.
+    """
 
     @property
     def char(self) -> int:
@@ -207,9 +287,115 @@ class Rationals(_GenericKernels):
     def parse_element(self, text: str) -> Fraction:
         return read_literal(text, "rational", text)
 
+    # -- integer kernels ------------------------------------------------
 
-@dataclass(frozen=True)
-class PrimeField(_GenericKernels):
+    def taylor_shift_coeffs(self, coeffs, a) -> list:
+        """``f(T + a)`` on ints.  With ``L`` the lcm of the denominators
+        of ``f`` and ``a = A/D``, ``F_j = L*D**(n-1-j)*f_j`` are integers,
+        shifting ``F`` by ``A`` gives ``G`` and
+        ``g_i = G_i / (L*D**(n-1-i))``.  Since ``g_0 = f(a)``, the same
+        bound as :meth:`evaluate_coeffs` applies, checked before any
+        scaling on ``|G_i| <= max |F_j| * (2*|A|)**(n-1)``."""
+        n = len(coeffs)
+        if n <= 2 or not a:
+            return super().taylor_shift_coeffs(coeffs, a)
+        A, D = a.numerator, a.denominator
+        L = lcm(*[c.denominator for c in coeffs])
+        top = max(abs(c.numerator) for c in coeffs)
+        size = (L * top).bit_length() + (n - 1) * (A.bit_length() + D.bit_length() + 1)
+        check_bits(size, "a Taylor shift")
+        scale = _scales(L, D, n)
+        cs = [c.numerator * (s // c.denominator) for c, s in zip(coeffs, scale)]
+        _shift_ints(cs, A)
+        return [Fraction(c, s) for c, s in zip(cs, scale)]
+
+    def mul_coeffs(self, xs, ys) -> list:
+        """The schoolbook product of ``Lx*x`` and ``Ly*y`` on ints, with
+        each output coefficient divided by ``Lx*Ly`` once."""
+        lx = lcm(*[c.denominator for c in xs])
+        ly = lcm(*[c.denominator for c in ys])
+        xs = [c.numerator * (lx // c.denominator) for c in xs]
+        ys = [c.numerator * (ly // c.denominator) for c in ys]
+        out = [0] * (len(xs) + len(ys) - 1)
+        for i, x in enumerate(xs):
+            if x:
+                for j, y in enumerate(ys, i):
+                    out[j] += x * y
+        den = lx * ly
+        return [Fraction(z, den) for z in out]
+
+    def evaluate_coeffs(self, coeffs, a):
+        """``f(u/v)`` as ``F(u, v) / (L*v**n)``, where
+        ``F(u, v) = L*v**n*f(u/v)`` is Horner's rule homogenised on ints
+        and ``L`` clears the denominators of ``f``.  Its size, about ``n``
+        times the bits of ``u`` and ``v`` plus those of ``L*f``, is known
+        before the loop and bounded by :data:`MAX_EXACT_BITS`."""
+        n = len(coeffs) - 1
+        if n < 1:
+            return _horner(self, coeffs, a)
+        u, v = a.numerator, a.denominator
+        L = lcm(*[c.denominator for c in coeffs])
+        cs = [c.numerator * (L // c.denominator) for c in coeffs]
+        size = max(c.bit_length() for c in cs) + n * max(u.bit_length(), v.bit_length())
+        check_bits(size + n.bit_length(), "exact evaluation")
+        acc, vpow = 0, 1
+        for c in reversed(cs):
+            acc = acc * u + c * vpow
+            vpow *= v
+        return Fraction(acc, L * (vpow // v))
+
+    def shift_keyed(self, shift, rows) -> list:
+        """:meth:`taylor_shift_coeffs` term by term on keyed rows: the
+        same scaling clears the denominators of every term, and the sweep
+        folds ``D*a`` in with one int product per pair of terms."""
+        n = len(rows)
+        if n <= 2 or not shift:
+            return super().shift_keyed(shift, rows)
+        D = lcm(*[c.denominator for _, c in shift])
+        L = lcm(*[c.denominator for row in rows for _, c in row])
+        scale = _scales(L, D, n)
+        shift = [(g, c.numerator * (D // c.denominator)) for g, c in shift]
+        rows = [
+            {g: c.numerator * (s // c.denominator) for g, c in row}
+            for row, s in zip(rows, scale)
+        ]
+        for i in range(n):
+            for j in range(n - 2, i - 1, -1):
+                src = rows[j + 1]
+                if not src:
+                    continue
+                row = rows[j]
+                get = row.get
+                for ga, ca in shift:
+                    for gs, cs in src.items():
+                        key = ga + gs
+                        row[key] = get(key, 0) + ca * cs
+                rows[j] = {g: c for g, c in row.items() if c}
+        return [{g: Fraction(c, s) for g, c in row.items()} for row, s in zip(rows, scale)]
+
+    def mul_keyed(self, xs, ys) -> list:
+        """:meth:`mul_coeffs` term by term on keyed rows."""
+        lx = lcm(*[c.denominator for x in xs for _, c in x])
+        ly = lcm(*[c.denominator for y in ys for _, c in y])
+        xs = [[(g, c.numerator * (lx // c.denominator)) for g, c in x] for x in xs]
+        ys = [[(g, c.numerator * (ly // c.denominator)) for g, c in y] for y in ys]
+        out = [{} for _ in range(len(xs) + len(ys) - 1)]
+        for i, x in enumerate(xs):
+            if not x:
+                continue
+            for j, y in enumerate(ys, i):
+                row = out[j]
+                get = row.get
+                for ga, ca in x:
+                    for gb, cb in y:
+                        key = ga + gb
+                        row[key] = get(key, 0) + ca * cb
+        den = lx * ly
+        return [{g: Fraction(c, den) for g, c in row.items() if c} for row in out]
+
+
+@record
+class PrimeField(_BaseKernels):
     """The prime field F_p; elements are ints reduced into [0, p)."""
 
     p: int
@@ -308,11 +494,66 @@ def _parse_prime(digits: str, rule: str, original: str) -> int:
 # p-adic rationals
 
 
-@dataclass(frozen=True)
-class PAdicField(_GenericKernels):
-    """Q with the p-adic valuation; ``|p| = rho`` in log scale."""
+class _OverBase:
+    """Element arithmetic and polynomial kernels forwarded to the base
+    field ``self.base``, for the backends that only add a valuation."""
+
+    @property
+    def char(self) -> int:
+        return self.base.char
+
+    @property
+    def zero(self):
+        return self.base.zero
+
+    @property
+    def one(self):
+        return self.base.one
+
+    def from_int(self, n: int):
+        return self.base.from_int(n)
+
+    def add(self, x, y):
+        return self.base.add(x, y)
+
+    def sub(self, x, y):
+        return self.base.sub(x, y)
+
+    def mul(self, x, y):
+        return self.base.mul(x, y)
+
+    def neg(self, x):
+        return self.base.neg(x)
+
+    def inv(self, x):
+        return self.base.inv(x)
+
+    def div(self, x, y):
+        return self.base.div(x, y)
+
+    def is_zero(self, x) -> bool:
+        return self.base.is_zero(x)
+
+    def format_element(self, x) -> str:
+        return self.base.format_element(x)
+
+    def taylor_shift_coeffs(self, coeffs, a) -> list:
+        return self.base.taylor_shift_coeffs(coeffs, a)
+
+    def mul_coeffs(self, xs, ys) -> list:
+        return self.base.mul_coeffs(xs, ys)
+
+    def evaluate_coeffs(self, coeffs, a):
+        return self.base.evaluate_coeffs(coeffs, a)
+
+
+@record
+class PAdicField(_OverBase):
+    """Q with the p-adic valuation; ``|p| = rho`` in log scale.  The
+    arithmetic is that of the base field ``QQ``."""
 
     p: int
+    base = QQ
 
     def __post_init__(self):
         if not _is_prime(self.p):
@@ -321,10 +562,6 @@ class PAdicField(_GenericKernels):
     @property
     def selector(self) -> str:
         return f"padic:{self.p}"
-
-    @property
-    def char(self) -> int:
-        return 0
 
     @property
     def residue_char(self) -> int:
@@ -337,40 +574,6 @@ class PAdicField(_GenericKernels):
     @property
     def value_group_gen(self) -> Exponent:
         return Exponent(1)
-
-    @property
-    def zero(self) -> Fraction:
-        return Fraction(0)
-
-    @property
-    def one(self) -> Fraction:
-        return Fraction(1)
-
-    def from_int(self, n: int) -> Fraction:
-        return Fraction(n)
-
-    def add(self, x, y):
-        return x + y
-
-    def sub(self, x, y):
-        return x - y
-
-    def mul(self, x, y):
-        return x * y
-
-    def neg(self, x):
-        return -x
-
-    def inv(self, x):
-        if x == 0:
-            raise DomainError("division by zero")
-        return 1 / Fraction(x)
-
-    def div(self, x, y):
-        return self.mul(x, self.inv(y))
-
-    def is_zero(self, x) -> bool:
-        return x == 0
 
     def valuation(self, x) -> Magnitude:
         """``rho**(v_p(num) - v_p(den))``, or zero for ``x == 0``."""
@@ -406,12 +609,13 @@ class PAdicField(_GenericKernels):
         return self.residue(self.div(x, m))
 
     def element_with_valuation(self, e: Exponent) -> Optional[Fraction]:
+        """``p**e`` for an integer ``e``; past :data:`MAX_EXACT_BITS`
+        it is refused with :class:`DomainError`."""
         if not e.is_rational() or e.a.denominator != 1:
             return None
-        return Fraction(self.p) ** int(e.a)
-
-    def format_element(self, x) -> str:
-        return str(Fraction(x))
+        k = int(e.a)
+        check_bits(abs(k) * self.p.bit_length(), f"the power {self.p}^{k}")
+        return Fraction(self.p) ** k
 
     def parse_element(self, text: str) -> Fraction:
         return read_literal(text, "p-adic element", text)
@@ -427,7 +631,7 @@ PuiseuxElem = Tuple[Tuple[Fraction, object], ...]
 _PUISEUX_TERM = re.compile(r"(?:(?P<coef>.+)\*|(?P<sign>-?))t(?:\^\((?P<g>[^()]*)\))?")
 
 
-@dataclass(frozen=True)
+@record
 class PuiseuxField:
     """Finite sums ``c_1*t^(g_1) + ...`` with rational exponents.
 
@@ -514,47 +718,26 @@ class PuiseuxField:
 
         Every exponent of the coefficients and of ``a`` is scaled by
         their common denominator ``D``, so each row is a dict from int
-        to base-field coefficient and every fold of ``a`` into a row is
-        a fused multiply-add over the base field.  Zeros are dropped
-        once per row update, and exponents go back to ``Fraction`` once
-        at the end; the result is the same as the generic sweep.
+        to base-field coefficient, and the base field's
+        ``shift_keyed`` runs the sweep: over Q on ints with the
+        denominators cleared, over F_p one ``fma`` per pair of terms.
+        Exponents go back to ``Fraction`` once at the end; the result is
+        the same as the generic sweep through ``add`` and ``mul``.
         """
-        base = self.base
-        mul, fma, is_zero = base.mul, base.fma, base.is_zero
         d, (shift, *rows) = _int_keys((a, *coeffs))
-        rows = [dict(row) for row in rows]
-        n = len(rows)
-        for i in range(n):
-            for j in range(n - 2, i - 1, -1):
-                src = rows[j + 1]
-                if not src:
-                    continue
-                row = rows[j]
-                for ga, ca in shift:
-                    for gs, cs in src.items():
-                        key = ga + gs
-                        old = row.get(key)
-                        row[key] = mul(ca, cs) if old is None else fma(old, ca, cs)
-                rows[j] = {g: c for g, c in row.items() if not is_zero(c)}
-        return _from_int_keys(rows, d, is_zero)
+        return _from_int_keys(self.base.shift_keyed(shift, rows), d, self.base.is_zero)
 
     def mul_coeffs(self, xs, ys) -> list:
         """Schoolbook product on the integer keys of
-        :meth:`taylor_shift_coeffs`, one base-field ``fma`` per term pair;
-        the terms are those of the product through ``add`` and ``mul``."""
-        base = self.base
-        mul, fma = base.mul, base.fma
+        :meth:`taylor_shift_coeffs`, run by the base field's
+        ``mul_keyed``; the terms are those of the product through
+        ``add`` and ``mul``."""
         d, keyed = _int_keys((*xs, *ys))
-        out = [{} for _ in range(len(xs) + len(ys) - 1)]
-        for i, x in enumerate(keyed[: len(xs)]):
-            for j, y in enumerate(keyed[len(xs):]):
-                row = out[i + j]
-                for ga, ca in x:
-                    for gb, cb in y:
-                        key = ga + gb
-                        old = row.get(key)
-                        row[key] = mul(ca, cb) if old is None else fma(old, ca, cb)
-        return _from_int_keys(out, d, base.is_zero)
+        rows = self.base.mul_keyed(keyed[: len(xs)], keyed[len(xs):])
+        return _from_int_keys(rows, d, self.base.is_zero)
+
+    def evaluate_coeffs(self, coeffs, a):
+        return _horner(self, coeffs, a)
 
     def trim_center(self, a: PuiseuxElem, r: Magnitude) -> PuiseuxElem:
         """The canonical center of ``E(a, r)``: the terms of ``a`` with
@@ -685,8 +868,8 @@ class PuiseuxField:
 # Trivially valued base field
 
 
-@dataclass(frozen=True)
-class TrivialField(_GenericKernels):
+@record
+class TrivialField(_OverBase):
     """A base field carrying the trivial valuation."""
 
     base: BaseField
@@ -694,10 +877,6 @@ class TrivialField(_GenericKernels):
     @property
     def selector(self) -> str:
         return f"trivial:{self.base.name}"
-
-    @property
-    def char(self) -> int:
-        return self.base.char
 
     @property
     def residue_char(self) -> int:
@@ -710,38 +889,6 @@ class TrivialField(_GenericKernels):
     @property
     def value_group_gen(self) -> Exponent:
         return EXP_ZERO
-
-    @property
-    def zero(self):
-        return self.base.zero
-
-    @property
-    def one(self):
-        return self.base.one
-
-    def from_int(self, n: int):
-        return self.base.from_int(n)
-
-    def add(self, x, y):
-        return self.base.add(x, y)
-
-    def sub(self, x, y):
-        return self.base.sub(x, y)
-
-    def mul(self, x, y):
-        return self.base.mul(x, y)
-
-    def neg(self, x):
-        return self.base.neg(x)
-
-    def inv(self, x):
-        return self.base.inv(x)
-
-    def div(self, x, y):
-        return self.base.div(x, y)
-
-    def is_zero(self, x) -> bool:
-        return self.base.is_zero(x)
 
     def valuation(self, x) -> Magnitude:
         if self.base.is_zero(x):
@@ -764,9 +911,6 @@ class TrivialField(_GenericKernels):
         if e.sign() == 0 and e.is_rational():
             return self.base.one
         return None
-
-    def format_element(self, x) -> str:
-        return self.base.format_element(x)
 
     def parse_element(self, text: str):
         try:

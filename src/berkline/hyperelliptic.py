@@ -19,11 +19,10 @@ ramified there and none of the parity reasoning applies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Tuple, Union
 
-from .errors import DomainError
+from .errors import DomainError, record
 from .exponents import INF, Exponent
 from .fields import ValuedField
 from .line import (
@@ -36,7 +35,7 @@ from .line import (
     classify,
     convex_hull,
 )
-from .polynomials import Poly, disc_expansion, squarefree_decomposition
+from .polynomials import Poly, disc_expansion, is_constant_times_square
 
 
 def _reject_residue_char_2(field: ValuedField) -> None:
@@ -44,7 +43,7 @@ def _reject_residue_char_2(field: ValuedField) -> None:
         raise DomainError("residue characteristic 2 is not supported")
 
 
-@dataclass(frozen=True)
+@record
 class BranchData:
     """Squarefree polynomial presented through its full root list."""
 
@@ -156,8 +155,7 @@ def fiber_count(bd: BranchData, x: Point, strict_squares: bool = False):
         res_coeffs.append(k.residue_of_quotient(k.mul(ci, cpow), m0))
         cpow = k.mul(cpow, c)
     u = Poly.make(rf, tuple(res_coeffs))
-    parts = squarefree_decomposition(u)
-    if any(mult % 2 == 1 for _, mult in parts):
+    if not is_constant_times_square(u):
         return 1
     if not strict_squares:
         return 2
@@ -172,7 +170,7 @@ def fiber_count(bd: BranchData, x: Point, strict_squares: bool = False):
 # Cover skeletons and genus bookkeeping
 
 
-@dataclass(frozen=True)
+@record
 class CoverSkeleton:
     base: SkeletonGraph
     vertex_fibers: Tuple[int, ...]
@@ -341,7 +339,7 @@ def tate_cycle_exponent(cs: CoverSkeleton) -> Exponent:
 # Elliptic reduction through the Legendre parameter
 
 
-@dataclass(frozen=True)
+@record
 class Multiplicative:
     """Degenerate reduction; the skeleton is a cycle whose modulus is
     rho to this exponent."""
@@ -350,7 +348,7 @@ class Multiplicative:
     via: str
 
 
-@dataclass(frozen=True)
+@record
 class GoodReduction:
     lambda_residue: object
     j_residue: object

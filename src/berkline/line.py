@@ -19,11 +19,10 @@ of the geometry below is elementary interval bookkeeping on exponents.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Tuple, Union
 
-from .errors import DomainError, ParseError, split_top
+from .errors import DomainError, Frozen, ParseError, record, split_top
 from .exponents import (
     EXP_ZERO,
     INF,
@@ -45,35 +44,46 @@ from .polynomials import Poly, disc_expansion, hasse_derivative
 # Point representations
 
 
-@dataclass(frozen=True, eq=False)
-class Type1Point:
+# The points are records compared and hashed by identity: equality of
+# points is the tree question :func:`point_eq`, not equality of fields.
+
+
+class Type1Point(Frozen):
     """Evaluation at a field element."""
 
-    field: ValuedField
-    center: object
+    __slots__ = ("field", "center")
+
+    def __init__(self, field: ValuedField, center):
+        _set_field(self, field)
+        _set_center(self, center)
+
+    def __repr__(self):
+        return f"Type1Point(field={self.field!r}, center={self.center!r})"
 
     def __str__(self):
         return format_point(self)
 
 
-@dataclass(frozen=True, eq=False)
-class DiscPoint:
+class DiscPoint(Frozen):
     """The maximal point of the closed disc ``E(center, radius)``."""
 
-    field: ValuedField
-    center: object
-    radius: Magnitude
+    __slots__ = ("field", "center", "radius")
 
-    def __post_init__(self):
-        if self.radius.is_zero:
+    def __init__(self, field: ValuedField, center, radius: Magnitude):
+        if radius.is_zero:
             raise DomainError("disc points need a positive radius; use Type1Point")
+        _set_disc_field(self, field)
+        _set_disc_center(self, center)
+        _set_radius(self, radius)
+
+    def __repr__(self):
+        return f"DiscPoint(field={self.field!r}, center={self.center!r}, radius={self.radius!r})"
 
     def __str__(self):
         return format_point(self)
 
 
-@dataclass(frozen=True, eq=False)
-class ChainPoint:
+class ChainPoint(Frozen):
     """A strictly nested chain of discs, outermost first.
 
     ``limit_exponent`` records the infimum of the radii when the caller
@@ -81,11 +91,17 @@ class ChainPoint:
     and are flagged as upper bounds.
     """
 
-    field: ValuedField
-    discs: Tuple[Tuple[object, Magnitude], ...]
-    limit_exponent: Optional[Exponent] = None
+    __slots__ = ("field", "discs", "limit_exponent")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        field: ValuedField,
+        discs: Tuple[Tuple[object, Magnitude], ...],
+        limit_exponent: Optional[Exponent] = None,
+    ):
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "discs", discs)
+        object.__setattr__(self, "limit_exponent", limit_exponent)
         if not self.discs:
             raise DomainError("a chain needs at least one disc")
         k = self.field
@@ -105,8 +121,21 @@ class ChainPoint:
                 if not self.limit_exponent > radius.exponent:
                     raise DomainError("limit radius must sit below every listed disc")
 
+    def __repr__(self):
+        return (
+            f"ChainPoint(field={self.field!r}, discs={self.discs!r}, "
+            f"limit_exponent={self.limit_exponent!r})"
+        )
+
     def __str__(self):
         return format_point(self)
+
+
+_set_field = Type1Point.field.__set__
+_set_center = Type1Point.center.__set__
+_set_disc_field = DiscPoint.field.__set__
+_set_disc_center = DiscPoint.center.__set__
+_set_radius = DiscPoint.radius.__set__
 
 
 Point = Union[Type1Point, DiscPoint, ChainPoint]
@@ -136,7 +165,7 @@ def _same_field(x: Point, y) -> ValuedField:
 # Classification
 
 
-@dataclass(frozen=True)
+@record
 class PointClass:
     """Type plus the two invariants of the completed residue field.
 
@@ -177,7 +206,7 @@ def components_count(x: Point) -> Components:
     return Components.P1_OF_RESIDUE
 
 
-@dataclass(frozen=True)
+@record
 class RadiusInfo:
     value: Magnitude
     exact: bool
@@ -310,7 +339,7 @@ def join(x: Point, y: Point) -> Point:
     return DiscPoint(k, ax, r)
 
 
-@dataclass(frozen=True)
+@record
 class PathSegment:
     """Disc points sharing one center, traversed between two exponents.
 
@@ -330,7 +359,7 @@ class PathSegment:
         return -d if d.sign() < 0 else d
 
 
-@dataclass(frozen=True)
+@record
 class Path:
     segments: Tuple[PathSegment, ...]
     start: Point
@@ -403,7 +432,7 @@ def direction(x: Point, y: Point):
 # Skeleton graphs, convex hulls, retractions
 
 
-@dataclass(frozen=True)
+@record
 class SkeletonVertex:
     """``point is None`` marks the projective infinity attached by
     double-cover constructions; everything else is an honest point."""
@@ -418,7 +447,7 @@ class SkeletonVertex:
         return "inf" if self.point is None else format_point(self.point)
 
 
-@dataclass(frozen=True)
+@record
 class SkeletonEdge:
     """``u`` is the lower endpoint (smaller disc), ``v`` the upper."""
 
@@ -427,7 +456,7 @@ class SkeletonEdge:
     length: Length
 
 
-@dataclass(frozen=True)
+@record
 class SkeletonGraph:
     vertices: Tuple[SkeletonVertex, ...]
     edges: Tuple[SkeletonEdge, ...]

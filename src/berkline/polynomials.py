@@ -9,22 +9,38 @@ library uses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 import re
 
-from .errors import DomainError, split_top, top_level
+from .errors import DomainError, Frozen, split_top, top_level
 from .exponents import Exponent, Magnitude
 from .fields import ValuedField
 
 
-@dataclass(frozen=True)
-class Poly:
-    """A polynomial in T over a fixed valued field."""
+class Poly(Frozen):
+    """A polynomial in T over a fixed valued field.
 
-    field: ValuedField
-    coeffs: tuple
+    A record of ``field`` and ``coeffs``: equal when both are, hashed as
+    that pair.
+    """
+
+    __slots__ = ("field", "coeffs")
+
+    def __init__(self, field: ValuedField, coeffs: tuple):
+        _set_field(self, field)
+        _set_coeffs(self, coeffs)
+
+    def __repr__(self) -> str:
+        return f"Poly(field={self.field!r}, coeffs={self.coeffs!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not Poly:
+            return NotImplemented
+        return (self.field, self.coeffs) == (other.field, other.coeffs)
+
+    def __hash__(self) -> int:
+        return hash((self.field, self.coeffs))
 
     @staticmethod
     def make(field: ValuedField, coeffs) -> "Poly":
@@ -77,8 +93,8 @@ class Poly:
         return Poly(k, tuple(k.neg(c) for c in self.coeffs))
 
     def __mul__(self, other: "Poly") -> "Poly":
-        """Schoolbook product, run by the field's ``mul_coeffs``: Puiseux
-        fields accumulate on integer exponent keys, the others through
+        """Schoolbook product, run by the field's ``mul_coeffs``: over Q on
+        ints, Puiseux fields on integer exponent keys, the others through
         their own ``add`` and ``mul``.  Either way the result is exact."""
         k = self.field
         if self.is_zero or other.is_zero:
@@ -90,11 +106,11 @@ class Poly:
         return Poly.make(k, [k.mul(c, a) for a in self.coeffs])
 
     def evaluate(self, a):
-        k = self.field
-        acc = k.zero
-        for c in reversed(self.coeffs):
-            acc = k.add(k.mul(acc, a), c)
-        return acc
+        """``f(a)`` by Horner's rule, run by the field's
+        ``evaluate_coeffs``: over Q homogenised on ints, and refused with
+        :class:`DomainError` when its numbers would pass
+        ``errors.MAX_EXACT_BITS``."""
+        return self.field.evaluate_coeffs(self.coeffs, a)
 
     def monic(self) -> "Poly":
         if self.is_zero:
@@ -105,15 +121,20 @@ class Poly:
         return format_poly(self)
 
 
+_set_field = Poly.field.__set__
+_set_coeffs = Poly.coeffs.__set__
+
+
 def taylor_shift(f: Poly, a) -> Poly:
     """Expand ``f`` around ``a``: the polynomial ``g`` with g(T) = f(T + a).
 
     The field runs the classic synthetic-division sweep (von zur Gathen
     and Gerhard, *Modern Computer Algebra*, ch. 10): ``a`` is folded in
     one row at a time, so the cost is quadratic in the degree with no
-    binomials.  Puiseux fields run it on integer exponent keys; the
-    others through their own ``add`` and ``mul``.  Either way the result
-    is exact.  Callers that only need ``f`` on a disc ``E(a, r)`` should
+    binomials.  Over Q it runs on ints with the denominators cleared,
+    Puiseux fields run it on integer exponent keys, and the others
+    through their own ``add`` and ``mul``.  Either way the result is
+    exact.  Callers that only need ``f`` on a disc ``E(a, r)`` should
     use :func:`disc_expansion`, which shifts by a trimmed center.
     """
     k = f.field

@@ -13,11 +13,10 @@ enter any decision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Tuple, Union
 
-from .errors import DomainError, ParseError, read_literal
+from .errors import DomainError, ParseError, read_literal, record
 from .exponents import Ordering
 from .fields import _is_prime, _vp, _vp_int
 
@@ -26,7 +25,7 @@ from .fields import _is_prime, _vp, _vp_int
 # Exact archimedean-capable magnitudes
 
 
-@dataclass(frozen=True)
+@record
 class RealMag:
     """``base ** exp`` with positive rational base, or zero.
 
@@ -139,12 +138,12 @@ RM_ONE = RealMag.of(1, 0)
 # Points of the spectrum of the integers
 
 
-@dataclass(frozen=True)
+@record
 class ZTrivial:
     pass
 
 
-@dataclass(frozen=True)
+@record
 class ZPAdic:
     p: int
     r: Fraction
@@ -157,7 +156,7 @@ class ZPAdic:
             raise DomainError("p-adic branch parameter must be positive")
 
 
-@dataclass(frozen=True)
+@record
 class ZArch:
     r: Fraction
 
@@ -167,7 +166,7 @@ class ZArch:
             raise DomainError("archimedean branch parameter must lie in (0, 1]")
 
 
-@dataclass(frozen=True)
+@record
 class ZPAdicInfty:
     p: int
 
@@ -301,7 +300,7 @@ def nadic_spectral(x, n: int) -> RealMag:
 # Convergence reports along a branch
 
 
-@dataclass(frozen=True)
+@record
 class LimitReport:
     """Exact monotonicity verdicts plus a display-only deviation."""
 

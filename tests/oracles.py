@@ -97,16 +97,44 @@ def reference_convex_hull(points) -> SkeletonGraph:
     return SkeletonGraph(tuple(vertex_objs), tuple(edges), marked)
 
 
+def synthetic_shift(k, coeffs, a) -> list:
+    """Coefficients of ``f(T + a)`` from those of ``f``, low degree first,
+    by the synthetic-division sweep through the field's ``add`` and
+    ``mul``: the generic shift the integer kernels replaced."""
+    cs = list(coeffs)
+    n = len(cs)
+    for i in range(n):
+        for j in range(n - 2, i - 1, -1):
+            cs[j] = k.add(cs[j], k.mul(a, cs[j + 1]))
+    return cs
+
+
+def schoolbook_coeffs(k, xs, ys) -> list:
+    """The product of two nonempty coefficient lists through the field's
+    ``add`` and ``mul``: the generic product the integer kernels replaced."""
+    out = [k.zero] * (len(xs) + len(ys) - 1)
+    for i, a in enumerate(xs):
+        if k.is_zero(a):
+            continue
+        for j, b in enumerate(ys):
+            out[i + j] = k.add(out[i + j], k.mul(a, b))
+    return out
+
+
+def horner(k, coeffs, a):
+    """``f(a)`` by Horner's rule through the field's ``add`` and ``mul``."""
+    acc = k.zero
+    for c in reversed(coeffs):
+        acc = k.add(k.mul(acc, a), c)
+    return acc
+
+
 def schoolbook_product(f, g):
     """``f * g`` from the field's own ``add`` and ``mul``, term by term."""
     k = f.field
     if f.is_zero or g.is_zero:
         return Poly(k, ())
-    out = [k.zero] * (len(f.coeffs) + len(g.coeffs) - 1)
-    for i, a in enumerate(f.coeffs):
-        for j, b in enumerate(g.coeffs):
-            out[i + j] = k.add(out[i + j], k.mul(a, b))
-    return Poly.make(k, out)
+    return Poly.make(k, schoolbook_coeffs(k, f.coeffs, g.coeffs))
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,203 @@
+"""Differential oracles for the polynomial kernels of the fields.
+
+Over Q the Taylor shift, the product and the evaluation run on Python
+ints with the denominators cleared (dense for ``padic`` and ``trivial``
+coefficients, on integer exponent keys for Puiseux sums); over F_p the
+Puiseux kernels go through the base field's ``fma``.  Every one of them
+must agree term for term with the generic constructions through the
+field's own ``add`` and ``mul``, kept in ``oracles.py``, and over Q with
+sympy.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from berkline import (
+    DomainError,
+    Exponent,
+    PAdicField,
+    Poly,
+    PrimeField,
+    PuiseuxField,
+    Rationals,
+    TrivialField,
+    taylor_shift,
+)
+from berkline.errors import MAX_EXACT_BITS
+from oracles import horner, schoolbook_coeffs, synthetic_shift
+
+# ``Rationals()`` rather than ``QQ``: the integer kernels are chosen by
+# the type of the base field, so any instance of it gets them.
+FIELDS = {
+    "padic5": PAdicField(5),
+    "trivialQ": TrivialField(Rationals()),
+    "puiseuxQ": PuiseuxField(Rationals()),
+    "puiseuxF3": PuiseuxField(PrimeField(3)),
+}
+
+# Mixed small and large denominators, so the lcm that clears them is
+# usually a product of several, and large numerators of both signs.
+_DENOMINATORS = st.sampled_from([1, 1, 2, 3, 4, 7, 25, 10**30 + 3, 2**61 - 1])
+_NUMERATORS = st.one_of(st.integers(-60, 60), st.integers(-(10**40), 10**40))
+_RATIONALS = st.builds(Fraction, _NUMERATORS, _DENOMINATORS)
+# Exponents of Puiseux terms, negative ones and several denominators.
+_EXPONENTS = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6))
+# Degrees 0, 1 (the direct fold) and 16 are drawn often; the rest cover
+# the integer sweep in between.
+_DEGREES = st.one_of(st.sampled_from([0, 1, 16]), st.integers(2, 15))
+
+
+def _base_coefficient(field, data):
+    base = field.base
+    if isinstance(base, PrimeField):
+        return base.from_int(data.draw(st.integers(1, base.p - 1)))
+    return data.draw(_RATIONALS.filter(bool))
+
+
+def element(field, data, nonzero=False):
+    """A random element; about a quarter of them zero unless ``nonzero``."""
+    if not nonzero and data.draw(st.integers(0, 3)) == 0:
+        return field.zero
+    if not isinstance(field, PuiseuxField):
+        return data.draw(_RATIONALS.filter(bool))
+    acc = field.zero
+    for g in data.draw(st.lists(_EXPONENTS, min_size=1, max_size=3, unique=True)):
+        acc = field.add(acc, field.monomial(g, _base_coefficient(field, data)))
+    return acc if acc else field.one
+
+
+def coefficients(field, data, degree):
+    """``degree + 1`` coefficients with a nonzero leading one."""
+    return [element(field, data) for _ in range(degree)] + [element(field, data, nonzero=True)]
+
+
+# On top of the suite's profile (conftest.py): the Puiseux oracles at
+# degree 16 are slow, so fewer examples.
+_SETTINGS = settings(max_examples=20)
+
+
+@pytest.mark.parametrize("name", FIELDS)
+@_SETTINGS
+@given(data=st.data())
+def test_shift_matches_generic_sweep(name, data):
+    field = FIELDS[name]
+    cs = coefficients(field, data, data.draw(_DEGREES))
+    a = element(field, data)
+    assert field.taylor_shift_coeffs(cs, a) == synthetic_shift(field, cs, a)
+
+
+@pytest.mark.parametrize("name", FIELDS)
+@_SETTINGS
+@given(data=st.data())
+def test_product_matches_schoolbook(name, data):
+    field = FIELDS[name]
+    xs = coefficients(field, data, data.draw(_DEGREES))
+    cancelling = data.draw(st.booleans())
+    if cancelling:
+        # f(T) * f(-T) is even: every odd coefficient cancels
+        ys = [field.neg(c) if i % 2 else c for i, c in enumerate(xs)]
+    else:
+        ys = coefficients(field, data, data.draw(_DEGREES))
+    product = field.mul_coeffs(xs, ys)
+    assert product == schoolbook_coeffs(field, xs, ys)
+    if cancelling:
+        assert all(field.is_zero(c) for c in product[1::2])
+
+
+@pytest.mark.parametrize("name", FIELDS)
+@_SETTINGS
+@given(data=st.data())
+def test_evaluation_matches_horner(name, data):
+    field = FIELDS[name]
+    cs = coefficients(field, data, data.draw(_DEGREES))
+    a = element(field, data)
+    f = Poly.make(field, cs)
+    assert f.evaluate(a) == horner(field, cs, a)
+
+
+def test_integer_kernels_do_not_touch_fraction_arithmetic(monkeypatch):
+    """Over Q the kernels of degree two and up never call the base
+    field's ``add``, ``mul`` or ``fma``, whichever ``Rationals``
+    instance the field was built on."""
+    rng = random.Random(3)
+    cases = []
+    for field in (FIELDS["padic5"], FIELDS["trivialQ"], Rationals()):
+        cs = [Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3])) for _ in range(5)]
+        cs.append(Fraction(1))
+        a = Fraction(2, 3)
+        expected = (
+            synthetic_shift(field, cs, a),
+            schoolbook_coeffs(field, cs, cs),
+            horner(field, cs, a),
+        )
+        cases.append((field, cs, a, expected))
+    puiseux = FIELDS["puiseuxQ"]
+    t = puiseux.t
+    pcs = [puiseux.add(t, puiseux.from_int(i)) for i in range(1, 5)]
+    expected_puiseux = (synthetic_shift(puiseux, pcs, t), schoolbook_coeffs(puiseux, pcs, pcs))
+
+    def refuse(*args):
+        raise AssertionError("Fraction arithmetic inside an integer kernel")
+
+    for name in ("add", "mul", "fma"):
+        monkeypatch.setattr(Rationals, name, refuse)
+    for field, cs, a, expected in cases:
+        got = (
+            field.taylor_shift_coeffs(cs, a),
+            field.mul_coeffs(cs, cs),
+            Poly.make(field, cs).evaluate(a),
+        )
+        assert got == expected
+    assert (puiseux.taylor_shift_coeffs(pcs, t), puiseux.mul_coeffs(pcs, pcs)) == expected_puiseux
+
+
+def _sympy_q(sympy, cs):
+    coeffs = [sympy.Rational(c.numerator, c.denominator) for c in cs[::-1]]
+    return sympy.Poly(coeffs, sympy.Symbol("x"), domain=sympy.QQ)
+
+
+def _from_sympy(poly):
+    return [Fraction(int(c.p), int(c.q)) for c in poly.all_coeffs()[::-1]]
+
+
+def test_kernels_match_sympy_over_q():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(71)
+    dens = (1, 2, 9, 10**30 + 3, 2**61 - 1)
+    field = FIELDS["trivialQ"]
+    for n in range(30):
+        deg = (0, 1, 16)[n % 3] if n < 9 else rng.randint(2, 12)
+        cs = [Fraction(rng.randint(-(10**25), 10**25), rng.choice(dens)) for _ in range(deg)]
+        cs.append(Fraction(rng.randint(1, 10**25), rng.choice(dens)))
+        ds = [Fraction(rng.randint(-99, 99), rng.choice(dens)) for _ in range(rng.randint(1, 6))]
+        a = Fraction(rng.randint(-(10**20), 10**20), rng.choice(dens))
+        f, g = _sympy_q(sympy, cs), _sympy_q(sympy, ds)
+        at = sympy.Rational(a.numerator, a.denominator)
+        assert field.taylor_shift_coeffs(cs, a) == _from_sympy(f.shift(at))
+        if any(ds):
+            product = _from_sympy(f * g)
+            got = field.mul_coeffs(cs, ds)
+            assert got[: len(product)] == product and not any(got[len(product):])
+        value = f.eval(at)
+        assert Poly.make(field, cs).evaluate(a) == Fraction(int(value.p), int(value.q))
+
+
+def test_exact_work_is_bounded():
+    """Evaluation and shifts over Q know the size of their numbers before
+    they start, and refuse past ``MAX_EXACT_BITS``; so does ``p**e``."""
+    q5 = FIELDS["padic5"]
+    big = Fraction(1, 7**3000)
+    f = Poly.make(q5, [Fraction(0)] * 4096 + [Fraction(7**3000)])
+    with pytest.raises(DomainError, match="exact evaluation"):
+        f.evaluate(big)
+    with pytest.raises(DomainError, match="Taylor shift"):
+        taylor_shift(f, big)
+    # at the limit and just past it
+    e = MAX_EXACT_BITS // 3  # 5 has three bits
+    assert q5.element_with_valuation(Exponent(e)) == Fraction(5) ** e
+    with pytest.raises(DomainError, match="above"):
+        q5.element_with_valuation(Exponent(-(e + 1)))
+    assert q5.element_with_valuation(Exponent(Fraction(1, 2))) is None

@@ -26,9 +26,8 @@ from berkline import (
     squarefree_part,
     taylor_shift,
 )
-from berkline.fields import _synthetic_shift
 from helpers import LSER, Q5, rand_element, rand_poly
-from oracles import schoolbook_product
+from oracles import schoolbook_product, synthetic_shift
 
 
 def fin(a, b=0) -> Magnitude:
@@ -102,7 +101,7 @@ def test_taylor_shift_matches_binomial_oracle():
                     acc = field.add(acc, field.mul(term, powers[i - j]))
                 assert shifted.coefficient(j) == acc
             # the integer-key kernel and the generic sweep agree term for term
-            assert list(shifted.coeffs) == _synthetic_shift(field, f.coeffs, a)
+            assert list(shifted.coeffs) == synthetic_shift(field, f.coeffs, a)
     assert wide >= 30
 
 
@@ -178,6 +177,64 @@ def test_taylor_shift_matches_sympy(field, modulus):
             ref = sympy.Poly(coeffs[::-1], sympy.Symbol("x"), modulus=modulus)
             expected = [int(c) % modulus for c in ref.shift(a).all_coeffs()]
         assert list(taylor_shift(Poly.make(field, coeffs), a).coeffs) == expected[::-1]
+
+
+def _to_sympy(sympy, f, modulus):
+    x = sympy.Symbol("x")
+    if modulus is None:
+        coeffs = [sympy.Rational(c.numerator, c.denominator) for c in f.coeffs[::-1]]
+        return sympy.Poly(coeffs or [0], x, domain=sympy.QQ)
+    return sympy.Poly([int(c) for c in f.coeffs[::-1]] or [0], x, modulus=modulus)
+
+
+def _from_sympy(field, g, modulus):
+    if modulus is None:
+        coeffs = [Fraction(int(c.p), int(c.q)) for c in g.all_coeffs()]
+    else:
+        coeffs = [int(c) % modulus for c in g.all_coeffs()]
+    return Poly.make(field, coeffs[::-1])
+
+
+def _division_cases(rng, field, modulus):
+    """Random pairs, plus pairs with a common factor and powers of one."""
+    def rand(deg):
+        if modulus is None:
+            cs = [Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 7])) for _ in range(deg)]
+            return Poly.make(field, cs + [Fraction(rng.choice([-3, 1, 2, 5]), rng.choice([1, 4]))])
+        return Poly.make(field, [rng.randrange(modulus) for _ in range(deg)] + [rng.randrange(1, modulus)])
+
+    for _ in range(12):
+        f, g = rand(rng.randint(0, 7)), rand(rng.randint(0, 4))
+        yield f, g
+        h = rand(rng.randint(1, 3))
+        yield f * h * h, g * h
+        yield h * h * h * g, h * h
+
+
+@pytest.mark.parametrize("modulus", [None, 3, 7], ids=["Q", "F3", "F7"])
+def test_division_matches_sympy(modulus):
+    """``poly_divmod``, ``poly_gcd`` and ``squarefree_decomposition``
+    against sympy over Q and GF(p), on random inputs and on inputs with
+    repeated and common factors."""
+    sympy = pytest.importorskip("sympy")
+    field = QQ if modulus is None else PrimeField(modulus)
+    rng = random.Random(83 if modulus is None else 89 + modulus)
+    for f, g in _division_cases(rng, field, modulus):
+        sf, sg = _to_sympy(sympy, f, modulus), _to_sympy(sympy, g, modulus)
+        q, r = poly_divmod(f, g)
+        sq, sr = sympy.div(sf, sg)
+        assert (q, r) == (_from_sympy(field, sq, modulus), _from_sympy(field, sr, modulus))
+        # both gcds are monic
+        assert poly_gcd(f, g) == _from_sympy(field, sympy.gcd(sf, sg).monic(), modulus)
+        if f.degree < 1:
+            continue
+        # the same squarefree parts per multiplicity, as monic products
+        ours, theirs = {}, {}
+        for part, e in squarefree_decomposition(f):
+            ours[e] = ours.get(e, Poly.constant(field, field.one)) * part
+        for part, e in sf.sqf_list()[1]:
+            theirs[e] = _from_sympy(field, part.monic(), modulus)
+        assert ours == theirs
 
 
 def test_hasse_derivative_frozen():
