@@ -347,14 +347,20 @@ class Rationals(_BaseKernels):
     def shift_keyed(self, shift, rows) -> list:
         """:meth:`taylor_shift_coeffs` term by term on keyed rows: the
         same scaling clears the denominators of every term, and the sweep
-        folds ``D*a`` in with one int product per pair of terms."""
+        folds ``D*a`` in with one int product per pair of terms.  The
+        same bound applies, with ``|A|`` the sum of the numerators of
+        ``D*a``."""
         n = len(rows)
         if n <= 2 or not shift:
             return super().shift_keyed(shift, rows)
         D = lcm(*[c.denominator for _, c in shift])
         L = lcm(*[c.denominator for row in rows for _, c in row])
-        scale = _scales(L, D, n)
         shift = [(g, c.numerator * (D // c.denominator)) for g, c in shift]
+        top = max(abs(c.numerator) for row in rows for _, c in row)
+        A = sum(abs(c) for _, c in shift)
+        size = (L * top).bit_length() + (n - 1) * (A.bit_length() + D.bit_length() + 1)
+        check_bits(size, "a Taylor shift")
+        scale = _scales(L, D, n)
         rows = [
             {g: c.numerator * (s // c.denominator) for g, c in row}
             for row, s in zip(rows, scale)
@@ -737,6 +743,18 @@ class PuiseuxField:
         return _from_int_keys(rows, d, self.base.is_zero)
 
     def evaluate_coeffs(self, coeffs, a):
+        """``f(a)`` by Horner's rule through ``add`` and ``mul``.  Over Q
+        the size of its numbers is estimated first, as in
+        :meth:`Rationals.evaluate_coeffs` with ``u`` the sum of the
+        numerators of ``v*a``, and bounded by :data:`MAX_EXACT_BITS`."""
+        n = len(coeffs) - 1
+        if self.base.char == 0 and n >= 1 and a:
+            v = lcm(*[c.denominator for _, c in a])
+            u = sum(abs(c.numerator) * (v // c.denominator) for _, c in a)
+            L = lcm(*[c.denominator for x in coeffs for _, c in x])
+            top = max(abs(c.numerator) for x in coeffs for _, c in x)
+            size = (L * top).bit_length() + n * max(u.bit_length(), v.bit_length())
+            check_bits(size + n.bit_length(), "exact evaluation")
         return _horner(self, coeffs, a)
 
     def trim_center(self, a: PuiseuxElem, r: Magnitude) -> PuiseuxElem:

@@ -26,7 +26,6 @@ from .errors import DomainError, record
 from .exponents import INF, Exponent
 from .fields import ValuedField
 from .line import (
-    DiscPoint,
     Point,
     SkeletonEdge,
     SkeletonGraph,
@@ -35,7 +34,7 @@ from .line import (
     classify,
     convex_hull,
 )
-from .polynomials import Poly, disc_expansion, is_constant_times_square
+from .polynomials import Poly, dominant_terms, is_constant_times_square
 
 
 def _reject_residue_char_2(field: ValuedField) -> None:
@@ -83,24 +82,9 @@ class BranchData:
 # Fibers over individual points
 
 
-def _term_exponents(f: Poly, x: DiscPoint):
-    """Exponents of |f_i| * r**i for the expansion of f at a center of
-    x (the trimmed one of :func:`disc_expansion`); None entries mark
-    vanishing coefficients."""
-    k = f.field
-    g = disc_expansion(f, x.center, x.radius)
-    e_r = x.radius.exponent
-    out = []
-    for i, c in enumerate(g.coeffs):
-        if k.is_zero(c):
-            out.append((None, c))
-        else:
-            out.append((k.valuation(c).exponent + e_r.scale(i), c))
-    return g, out
-
-
 def fiber_count(bd: BranchData, x: Point, strict_squares: bool = False):
-    """Number of points of the cover above a disc point: 2 or 1.
+    """Number of points of the cover above a disc point: 2 or 1, read off
+    the dominant terms of the expansion of ``f`` on the disc.
 
     In strict mode the answer is about the configured field itself
     rather than its algebraic closure; ``None`` means one point here
@@ -113,57 +97,46 @@ def fiber_count(bd: BranchData, x: Point, strict_squares: bool = False):
     if bd.f.field != x.field:
         raise DomainError("cover and point fields differ")
     k = bd.f.field
-    g, terms = _term_exponents(bd.f, x)
-    live = [(e, i) for i, (e, _) in enumerate(terms) if e is not None]
-    e_min = min(e for e, _ in live)
+    g, e_min, dominant = dominant_terms(bd.f, x.center, x.radius)
+
+    def leading_residue(i):
+        # the residue of g_i over the canonical element of its magnitude
+        c = g.coeffs[i]
+        return k.residue_of_quotient(c, k.element_with_valuation(k.valuation(c).exponent))
 
     if t == 3:
-        dominant = [i for e, i in live if e == e_min]
+        # one dominant term g_i * T**i, a square when i is even and, over
+        # the field itself, the unit part of g_i is a square
         if len(dominant) != 1:
             raise DomainError("irrational radius must single out one dominant term")
-        i_star = dominant[0]
-        if i_star % 2 == 1:
+        if dominant[0] % 2 == 1:
             return 1
-        if not strict_squares:
-            return 2
-        e_c = k.valuation(g.coefficient(i_star)).exponent
-        # rho**e_c is a square in the value group exactly when some
-        # element has magnitude rho**(e_c/2)
-        if k.element_with_valuation(e_c.scale(Fraction(1, 2))) is None:
-            return None
-        m0 = k.element_with_valuation(e_c)
-        if m0 is None:
-            return None
-        u = k.residue_of_quotient(g.coefficient(i_star), m0)
-        return 2 if k.residue_field.is_square(u) else None
-
-    # Type 2: rescale the variable so the disc becomes the unit disc,
-    # divide out the largest coefficient magnitude, and read the residue
-    # polynomial.  Two preimages exactly when it is a constant times a
-    # square, which over a perfect residue field means every root
-    # multiplicity of its squarefree decomposition is even.
-    c = k.element_with_valuation(x.radius.exponent)
-    if c is None:
-        raise DomainError("no field element realizes this radius")
-    m0 = k.element_with_valuation(e_min)
-    if m0 is None:
-        raise DomainError("no field element realizes the dominant magnitude")
-    rf = k.residue_field
-    cpow = k.one
-    res_coeffs = []
-    for i, ci in enumerate(g.coeffs):
-        res_coeffs.append(k.residue_of_quotient(k.mul(ci, cpow), m0))
-        cpow = k.mul(cpow, c)
-    u = Poly.make(rf, tuple(res_coeffs))
-    if not is_constant_times_square(u):
-        return 1
+        e_square = k.valuation(g.coeffs[dominant[0]]).exponent
+    else:
+        # Type 2: rescale the variable so the disc becomes the unit disc
+        # and divide out the largest term; the residue polynomial is zero
+        # off the dominant indices and the leading residue of g_i on them.
+        # Two preimages exactly when it is a constant times a square,
+        # which over a perfect residue field means every root multiplicity
+        # of its squarefree decomposition is even.
+        if k.element_with_valuation(x.radius.exponent) is None:
+            raise DomainError("no field element realizes this radius")
+        rf = k.residue_field
+        res_coeffs = [rf.zero] * len(g.coeffs)
+        for i in dominant:
+            res_coeffs[i] = leading_residue(i)
+        if not is_constant_times_square(Poly.make(rf, res_coeffs)):
+            return 1
+        e_square = e_min
     if not strict_squares:
         return 2
-    if k.element_with_valuation(e_min.scale(Fraction(1, 2))) is None:
+    # rho**e_square is a square in the value group exactly when some
+    # element has magnitude rho**(e_square/2).  The factors of the
+    # residue polynomial are monic, so the constant in front of the
+    # square is its leading coefficient, that of the last dominant term.
+    if k.element_with_valuation(e_square.scale(Fraction(1, 2))) is None:
         return None
-    # the factors are monic, so the constant in front of the square is
-    # exactly the leading coefficient
-    return 2 if rf.is_square(u.leading_coefficient()) else None
+    return 2 if k.residue_field.is_square(leading_residue(dominant[-1])) else None
 
 
 # ---------------------------------------------------------------------

@@ -24,7 +24,6 @@ from typing import Optional, Tuple, Union
 
 from .errors import DomainError, Frozen, ParseError, record, split_top
 from .exponents import (
-    EXP_ZERO,
     INF,
     Exponent,
     Length,
@@ -37,7 +36,7 @@ from .exponents import (
     parse_exponent,
 )
 from .fields import ValuedField
-from .polynomials import Poly, disc_expansion, hasse_derivative
+from .polynomials import Poly, dominant_terms, hasse_derivative
 
 
 # ---------------------------------------------------------------------
@@ -230,32 +229,11 @@ def seminorm_is_exact(x: Point) -> bool:
 # Seminorm evaluation
 
 
-def _disc_eval(f: Poly, center, radius: Magnitude) -> Magnitude:
-    """Sup norm of ``f`` over ``E(center, radius)``: shift, then take
-    the largest ``|f_i| * r**i``; in log scale that is the smallest
-    ``e_i + i*e_r`` over the nonzero coefficients.
-
-    The value depends on the disc alone, and ``E(a, r) = E(a', r)``
-    whenever ``|a - a'| <= r``, so the shift runs on the trimmed center
-    of :func:`disc_expansion` (none at all when it trims to zero).  The
-    answer is the same exact value as with the full shift."""
-    k = f.field
-    g = disc_expansion(f, center, radius)
-    best: Optional[Exponent] = None
-    e_r = radius.exponent
-    ie_r = EXP_ZERO  # i*e_r, by one addition per step
-    for c in g.coeffs:
-        if not k.is_zero(c):
-            e = k.valuation(c).exponent + ie_r
-            if best is None or e < best:
-                best = e
-        ie_r = ie_r + e_r
-    return Magnitude.zero() if best is None else Magnitude.finite(best)
-
-
 def eval_seminorm(f: Poly, x: Point) -> Magnitude:
     """Apply the seminorm of ``x`` to ``f``.
 
+    At a disc point this is the Gauss norm ``max |g_i| * r**i`` of the
+    expansion on the disc, ``rho**e_min`` of :func:`dominant_terms`.
     For a chain the value reported is the one at the innermost listed
     disc; the true limit value can only be smaller, so callers treating
     chains should consult :func:`seminorm_is_exact`.
@@ -264,10 +242,8 @@ def eval_seminorm(f: Poly, x: Point) -> Magnitude:
         raise DomainError("polynomial and point fields differ")
     if isinstance(x, Type1Point):
         return x.field.valuation(f.evaluate(x.center))
-    if isinstance(x, DiscPoint):
-        return _disc_eval(f, x.center, x.radius)
-    center, radius = x.discs[-1]
-    return _disc_eval(f, center, radius)
+    center, radius = (x.center, x.radius) if isinstance(x, DiscPoint) else x.discs[-1]
+    return Magnitude(dominant_terms(f, center, radius)[1])
 
 
 def torus_retract(f: Poly, x: Point, t: Magnitude) -> Magnitude:

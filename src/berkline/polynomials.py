@@ -14,7 +14,7 @@ from math import comb
 import re
 
 from .errors import DomainError, Frozen, split_top, top_level
-from .exponents import Exponent, Magnitude
+from .exponents import EXP_ZERO, Exponent, Magnitude
 from .fields import ValuedField
 
 
@@ -156,6 +156,39 @@ def disc_expansion(f: Poly, a, r: Magnitude) -> Poly:
     return f if k.is_zero(a) else taylor_shift(f, a)
 
 
+def dominant_terms(f: Poly, a, r: Magnitude):
+    """``(g, e_min, dominant)`` for ``f`` on the disc ``E(a, r)``: the
+    expansion ``g`` of :func:`disc_expansion`, the least exponent
+    ``e_min = min(v(g_i) + i*e_r)`` (``rho**e_min`` is the Gauss norm
+    ``max |g_i| * r**i``) and the ascending indices that attain it.
+
+    The largest dominant index is the number of roots in the disc, and
+    a type-2 residue polynomial is zero off the dominant indices and the
+    leading residue of ``g_i`` on them.  For ``r = 0`` the one dominant
+    index is the first nonzero one, the limit of small radii, and
+    ``e_min`` is ``None`` unless it is 0; it is ``None`` for ``f = 0``.
+    """
+    k = f.field
+    g = disc_expansion(f, a, r)
+    if r.is_zero:
+        for i, c in enumerate(g.coeffs):
+            if not k.is_zero(c):
+                return g, (k.valuation(c).exponent if i == 0 else None), (i,)
+        return g, None, ()
+    e_min, dominant = None, []
+    e_r = r.exponent
+    ie_r = EXP_ZERO  # i*e_r, by one addition per step
+    for i, c in enumerate(g.coeffs):
+        if not k.is_zero(c):
+            e = k.valuation(c).exponent + ie_r
+            if e_min is None or e < e_min:
+                e_min, dominant = e, [i]
+            elif e == e_min:
+                dominant.append(i)
+        ie_r = ie_r + e_r
+    return g, e_min, tuple(dominant)
+
+
 def derivative(f: Poly) -> Poly:
     k = f.field
     return Poly.make(
@@ -236,16 +269,14 @@ def _lower_hull(pts):
 def count_roots_in_disc(f: Poly, a, r: Magnitude) -> int:
     """Number of roots (with multiplicity) with ``|root - a| <= r``.
 
-    The roots of ``f(T + a')`` are those of ``f`` moved by ``-a'``, and
-    for any center ``a'`` of the same disc (``|a - a'| <= r``) the disc
-    ``E(a, r)`` moves onto ``E(0, r)``.  So the Newton slopes are read
-    from :func:`disc_expansion`, which shifts by the trimmed center and
-    skips the shift when that center is zero; the count is exact.
+    This is the Weierstrass degree of ``f`` on ``E(a, r)``: the largest
+    index of :func:`dominant_terms`, which for ``r = 0`` is the order of
+    ``f`` at ``a``.  :func:`newton_slopes` gives the same count from the
+    whole lower hull.
     """
     if f.is_zero:
         raise DomainError("the zero polynomial has no root data")
-    shifted = disc_expansion(f, a, r)
-    return sum(1 for m in newton_slopes(shifted) if m <= r)
+    return dominant_terms(f, a, r)[2][-1]
 
 
 # ---------------------------------------------------------------------

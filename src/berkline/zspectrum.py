@@ -274,19 +274,14 @@ def prime_factors(n: int) -> dict:
 def nadic_norm(x, n: int) -> RealMag:
     """``n ** d`` with d minimal such that x * n**d has no prime of n
     left in its denominator.  Minimality unwinds to a single ceiling:
-    d = ceil(max over p | n of -v_p(x)/e_p)."""
-    if not isinstance(n, int) or n < 2:
-        raise DomainError("the norm index must be an integer of size at least 2")
-    x = Fraction(x)
-    if x == 0:
-        return RealMag.zero()
-    need = max(Fraction(-_vp(x, p), e) for p, e in prime_factors(n).items())
-    return RealMag.of(n, math.ceil(need))
+    d is the ceiling of the exponent of :func:`nadic_spectral`."""
+    s = nadic_spectral(x, n)
+    return s if s.is_zero else RealMag.of(n, math.ceil(s.exp))
 
 
 def nadic_spectral(x, n: int) -> RealMag:
-    """The limit of nadic_norm(x**m) ** (1/m): the same maximum without
-    the ceiling."""
+    """The limit of nadic_norm(x**m) ** (1/m): ``n ** d`` with
+    d = max over p | n of -v_p(x)/e_p."""
     if not isinstance(n, int) or n < 2:
         raise DomainError("the norm index must be an integer of size at least 2")
     x = Fraction(x)

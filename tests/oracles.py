@@ -12,6 +12,7 @@ from typing import Optional
 from berkline import (
     INF,
     DiscPoint,
+    DomainError,
     Exponent,
     Poly,
     SkeletonEdge,
@@ -19,6 +20,7 @@ from berkline import (
     SkeletonVertex,
     classify,
     format_point,
+    is_constant_times_square,
     join,
     point_eq,
     point_leq,
@@ -26,6 +28,7 @@ from berkline import (
 from berkline.errors import ParseError
 from berkline.fields import PAdicField, PuiseuxField
 from berkline.line import _anchor, _radius_exponent_or_inf
+from berkline.polynomials import disc_expansion
 
 
 def _strictly_below(x, y) -> bool:
@@ -340,3 +343,87 @@ def old_halvable_exponent(field, e) -> bool:
     if isinstance(field, PAdicField):
         return e.is_rational() and e.a.denominator == 1 and e.a.numerator % 2 == 0
     return e == Exponent(0)
+
+
+def _reference_term_exponents(f: Poly, x: DiscPoint):
+    """Exponents of |f_i| * r**i for the expansion of f at a center of
+    x (the trimmed one of :func:`disc_expansion`); None entries mark
+    vanishing coefficients."""
+    k = f.field
+    g = disc_expansion(f, x.center, x.radius)
+    e_r = x.radius.exponent
+    out = []
+    for i, c in enumerate(g.coeffs):
+        if k.is_zero(c):
+            out.append((None, c))
+        else:
+            out.append((k.valuation(c).exponent + e_r.scale(i), c))
+    return g, out
+
+
+def reference_fiber_count(bd, x, strict_squares: bool = False):
+    """Number of points of the cover above a disc point: 2 or 1, from the
+    whole term list and the residue of every ``c_i * c**i / m0``.
+
+    In strict mode the answer is about the configured field itself
+    rather than its algebraic closure; ``None`` means one point here
+    but two after an unramified extension (undetermined over this
+    field).
+    """
+    t = classify(x).type
+    if t not in (2, 3):
+        raise DomainError("fiber counts are computed at disc points only")
+    if bd.f.field != x.field:
+        raise DomainError("cover and point fields differ")
+    k = bd.f.field
+    g, terms = _reference_term_exponents(bd.f, x)
+    live = [(e, i) for i, (e, _) in enumerate(terms) if e is not None]
+    e_min = min(e for e, _ in live)
+
+    if t == 3:
+        dominant = [i for e, i in live if e == e_min]
+        if len(dominant) != 1:
+            raise DomainError("irrational radius must single out one dominant term")
+        i_star = dominant[0]
+        if i_star % 2 == 1:
+            return 1
+        if not strict_squares:
+            return 2
+        e_c = k.valuation(g.coefficient(i_star)).exponent
+        # rho**e_c is a square in the value group exactly when some
+        # element has magnitude rho**(e_c/2)
+        if k.element_with_valuation(e_c.scale(Fraction(1, 2))) is None:
+            return None
+        m0 = k.element_with_valuation(e_c)
+        if m0 is None:
+            return None
+        u = k.residue_of_quotient(g.coefficient(i_star), m0)
+        return 2 if k.residue_field.is_square(u) else None
+
+    # Type 2: rescale the variable so the disc becomes the unit disc,
+    # divide out the largest coefficient magnitude, and read the residue
+    # polynomial.  Two preimages exactly when it is a constant times a
+    # square, which over a perfect residue field means every root
+    # multiplicity of its squarefree decomposition is even.
+    c = k.element_with_valuation(x.radius.exponent)
+    if c is None:
+        raise DomainError("no field element realizes this radius")
+    m0 = k.element_with_valuation(e_min)
+    if m0 is None:
+        raise DomainError("no field element realizes the dominant magnitude")
+    rf = k.residue_field
+    cpow = k.one
+    res_coeffs = []
+    for i, ci in enumerate(g.coeffs):
+        res_coeffs.append(k.residue_of_quotient(k.mul(ci, cpow), m0))
+        cpow = k.mul(cpow, c)
+    u = Poly.make(rf, tuple(res_coeffs))
+    if not is_constant_times_square(u):
+        return 1
+    if not strict_squares:
+        return 2
+    if k.element_with_valuation(e_min.scale(Fraction(1, 2))) is None:
+        return None
+    # the factors are monic, so the constant in front of the square is
+    # exactly the leading coefficient
+    return 2 if rf.is_square(u.leading_coefficient()) else None

@@ -270,21 +270,29 @@ def test_polynomial_degree_above_the_limit_exits_4():
 def test_exact_evaluation_beyond_the_bound_exits_4():
     # v**n * f(u/v) would have about 40 million bits: its size is known
     # before Horner's rule runs, and the shift at a disc center builds
-    # f(a) as its constant term, so both are refused up front
+    # f(a) as its constant term, so both are refused up front, over Q
+    # and over Puiseux sums with rational coefficients
     big = "7" * 3000
     for argv in (
         ["eval", "--field", "padic:5", "--poly", f"{big}*T^4096", f"pt1(1/{big})"],
         ["eval", "--field", "trivial:Q", "--poly", f"{big}*T^4096", f"pt1(1/{big})"],
         ["eval", "--field", "padic:5", "--poly", f"{big}*T^4096 + T", f"disc(1/{big}; 1)"],
+        ["eval", "--field", "puiseux:Q", "--poly", f"{big}*T^4096", f"pt1(1/{big})"],
+        ["eval", "--field", "puiseux:Q", "--poly", f"{big}*T^4096", f"disc(1/{big}; 1)"],
     ):
         start = time.perf_counter()
         code, out, err = invoke(argv)
-        assert time.perf_counter() - start < 2.0, argv[2]
-        assert (code, out) == (4, ""), argv[2]
+        label = (argv[2], argv[-1][:4])
+        assert time.perf_counter() - start < 2.0, label
+        assert (code, out, err.count("\n")) == (4, "", 1), label
         assert err.startswith("precondition violated: ") and err.endswith("above 1048576 bits\n")
     code, out, err = invoke(["eval", "--field", "padic:5", "--poly", "T^4096 + 1", "pt1(123456789/7)"])
     assert (code, err) == (0, "")
     assert '"exponent": "0"' in out
+    for point in ("pt1(123456789/7)", "disc(1/3; 1)"):
+        code, out, err = invoke(["eval", "--field", "puiseux:Q", "--poly", "T^600+T", point])
+        assert (code, err) == (0, "")
+        assert '"exponent": "0"' in out
 
 
 def test_strict_squares_column():

@@ -12,8 +12,6 @@ from fractions import Fraction
 
 import pytest
 
-import berkline.hyperelliptic as hyperelliptic
-import berkline.line as line
 import berkline.polynomials as polynomials
 from berkline import (
     BranchData,
@@ -57,14 +55,19 @@ def _small(rng, field, r: Magnitude):
     return d
 
 
-def _full_expansion(f, a, r):
-    """The expansion before trimming: shift by the whole center."""
-    return f if f.field.is_zero(a) else taylor_shift(f, a)
-
-
 def _untrimmed(monkeypatch):
-    for module in (line, polynomials, hyperelliptic):
-        monkeypatch.setattr(module, "disc_expansion", _full_expansion)
+    """From here on, expand by the whole center instead of the trimmed
+    one.  Every disc query reads its expansion through
+    ``polynomials.disc_expansion``, so patching it there reaches all of
+    them; the returned list records one entry per expansion."""
+    calls = []
+
+    def full_expansion(f, a, r):
+        calls.append(a)
+        return f if f.field.is_zero(a) else taylor_shift(f, a)
+
+    monkeypatch.setattr(polynomials, "disc_expansion", full_expansion)
+    return calls
 
 
 def _outcome(fn, *args, **kwargs):
@@ -98,12 +101,13 @@ def test_seminorm_and_root_count_depend_on_the_disc_alone(field, monkeypatch):
         for f, a, b, r in rows
         for c in (a, b)
     ]
-    _untrimmed(monkeypatch)
+    calls = _untrimmed(monkeypatch)
     full = [
         (eval_seminorm(f, DiscPoint(field, c, r)), count_roots_in_disc(f, c, r))
         for f, a, b, r in rows
         for c in (a, b)
     ]
+    assert len(calls) == 2 * len(full)
     assert trimmed == full
     assert trimmed[0::2] == trimmed[1::2]
     # the root count against a Newton polygon read straight off the shift
@@ -130,8 +134,9 @@ def test_fiber_count_depends_on_the_disc_alone(field, monkeypatch):
 
     trimmed = answers()
     assert sum(1 for v in trimmed if v in (1, 2)) >= 40
-    _untrimmed(monkeypatch)
+    calls = _untrimmed(monkeypatch)
     assert answers() == trimmed
+    assert len(calls) == len(trimmed)
     assert trimmed[0::4] == trimmed[2::4] and trimmed[1::4] == trimmed[3::4]
 
 
