@@ -209,7 +209,8 @@ def to_domain(sd: StandardDomain) -> Domain:
 def shilov_boundary(sd: StandardDomain) -> Tuple[Point, ...]:
     """The finite set where every |f| attains its maximum: outer disc
     point always; the inner one too for a genuinely thick annulus; one
-    extra point per removed hole."""
+    extra point per hole smaller than the disc (the maximal point of a
+    full-size hole is the outer point)."""
     k = sd.field
     if isinstance(sd, ClosedDisc):
         return (DiscPoint(k, sd.center, sd.radius),)
@@ -220,7 +221,8 @@ def shilov_boundary(sd: StandardDomain) -> Tuple[Point, ...]:
         return (outer, DiscPoint(k, sd.center, sd.inner))
     pts = [DiscPoint(k, sd.center, sd.radius)]
     for a, r in sd.holes:
-        pts.append(DiscPoint(k, a, r))
+        if r < sd.radius:
+            pts.append(DiscPoint(k, a, r))
     return tuple(pts)
 
 

@@ -160,6 +160,10 @@ MAX_DIGITS = 4300
 # refused with DomainError up front instead of running for minutes.
 MAX_EXACT_BITS = 1 << 20
 
+# The most term operations a sweep over Puiseux sums may make, estimated
+# from the supports up front: terms multiply even where bits stay small.
+MAX_TERM_WORK = 1 << 26
+
 _LITERAL = re.compile(r"(-?)([0-9]+)(?:/([0-9]+))?")
 
 

@@ -18,14 +18,15 @@ Magnitudes come back as :class:`berkline.exponents.Magnitude` values in
 log scale, so ``valuation(p) == rho**1`` for ``PAdicField(p)`` and
 ``valuation(t) == rho**1`` for any Puiseux backend.
 
-Four methods serve the polynomial layer: ``taylor_shift_coeffs``,
-``mul_coeffs`` and ``evaluate_coeffs`` (every field, base fields
-included) and ``trim_center`` (the valued backends), which returns a
-center of the same disc with everything of size at most the radius
-removed.  The first three are written once per base field: ``padic`` and
-``trivial`` backends forward them to their base, and Puiseux fields run
-shifts and products on integer exponent keys through the base's keyed
-kernels.  Over Q all of these run on Python ints with the denominators
+Three methods serve the polynomial layer: ``mul_coeffs``,
+``taylor_shift_coeffs(coeffs, a, count)``, the first ``count``
+coefficients of ``f(T + a)`` (so ``count = 1`` is ``f(a)``, Horner's
+rule as the first row of the sweep), and ``trim_center`` (the valued
+backends), a center of the same disc with everything of size at most
+the radius removed.  The first two are written once per base field:
+``padic`` and ``trivial`` backends forward them to their base, Puiseux
+fields run them on integer exponent keys through the base's keyed
+kernels, and over Q they run on Python ints with the denominators
 cleared once.
 """
 
@@ -36,7 +37,9 @@ from fractions import Fraction
 from math import isqrt, lcm
 from typing import Optional, Tuple, Union
 
-from .errors import DomainError, ParseError, check_bits, read_literal, record, split_top
+from .errors import (
+    MAX_TERM_WORK, DomainError, ParseError, check_bits, read_literal, record, split_top,
+)
 from .exponents import EXP_ZERO, MAG_ZERO, Exponent, Magnitude, int_magnitude
 
 
@@ -77,32 +80,23 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _horner(k, coeffs, a):
-    """``f(a)`` by Horner's rule through the field's own ``add`` and ``mul``."""
-    acc = k.zero
-    for c in reversed(coeffs):
-        acc = k.add(k.mul(acc, a), c)
-    return acc
+# Sweeps over Q with at most this many coefficients, shifts and evaluation
+# alike, take the direct fold through ``Fraction``: faster there.
+_DIRECT_FOLD = 2
 
 
-def _shift_ints(cs: list, a: int) -> None:
-    """Shift the integers ``cs`` (low degree first) by the integer ``a``
-    in place: the synthetic-division sweep, one row at a time."""
-    n = len(cs)
-    for i in range(n - 1):
-        acc = cs[-1]
-        for j in range(n - 2, i - 1, -1):
-            acc = cs[j] = cs[j] + a * acc
-
-
-def _scales(L: int, D: int, n: int) -> list:
-    """``[L*D**(n-1), ..., L*D, L]``: the factor that clears the
-    denominators of coefficient ``j`` of a shift by ``A/D``."""
-    out = [L]
-    for _ in range(n - 1):
-        out.append(out[-1] * D)
-    out.reverse()
-    return out
+def _check_q_size(lf_bits: int, n: int, A: int, D: int, count: int) -> None:
+    """Refuse, past ``MAX_EXACT_BITS``, a sweep of ``count`` rows over Q
+    that shifts ``n`` coefficients, with ``L*f`` of ``lf_bits``, by
+    ``A/D`` (keyed rows: ``A`` sums the numerators of ``D*a``).  One row
+    is ``D**(n-1) * L*f(A/D)``; a full shift has
+    ``|G_i| <= max |F_j| * (2*|A|)**(n-1)`` with ``F_j = L*D**(n-1-j)*f_j``."""
+    m = n - 1
+    if count == 1:
+        size = lf_bits + m * max(A.bit_length(), D.bit_length()) + m.bit_length()
+        check_bits(size, "exact evaluation")
+    else:
+        check_bits(lf_bits + m * (A.bit_length() + D.bit_length() + 1), "a Taylor shift")
 
 
 class _BaseKernels:
@@ -118,15 +112,16 @@ class _BaseKernels:
     :func:`_int_keys`; they come back as dicts from key to coefficient.
     """
 
-    def taylor_shift_coeffs(self, coeffs, a) -> list:
-        """Coefficients of ``f(T + a)``: ``a`` is folded in one row at a
-        time, so the cost is quadratic in the degree with no binomials."""
+    def taylor_shift_coeffs(self, coeffs, a, count) -> list:
+        """The first ``count`` coefficients of ``f(T + a)``: ``a`` is
+        folded into one row at a time, so the cost is ``count`` times the
+        degree with no binomials, and ``count = 1`` is Horner's rule."""
         cs = list(coeffs)
         n = len(cs)
-        for i in range(n):
+        for i in range(count):
             for j in range(n - 2, i - 1, -1):
                 cs[j] = self.fma(cs[j], a, cs[j + 1])
-        return cs
+        return cs[:count]
 
     def mul_coeffs(self, xs, ys) -> list:
         """Schoolbook product of two nonempty coefficient lists."""
@@ -138,19 +133,17 @@ class _BaseKernels:
                 out[i + j] = self.fma(out[i + j], a, b)
         return out
 
-    def evaluate_coeffs(self, coeffs, a):
-        return _horner(self, coeffs, a)
-
-    def shift_keyed(self, shift, rows) -> list:
-        """The synthetic-division sweep on keyed rows: every fold of the
-        shift into a row is one ``fma`` per pair of terms, and zeros are
-        dropped once per row update."""
+    def shift_keyed(self, shift, rows, count) -> list:
+        """The first ``count`` rows of the synthetic-division sweep on
+        keyed rows: every fold of the shift into a row is one ``fma`` per
+        pair of terms, and zeros are dropped once per row update."""
         mul, fma, is_zero = self.mul, self.fma, self.is_zero
         rows = [dict(row) for row in rows]
         n = len(rows)
-        for i in range(n):
+        for i in range(count):
             for j in range(n - 2, i - 1, -1):
-                src = rows[j + 1]
+                # the last pass reads each row once, so it lets it go
+                src = rows.pop() if i == count - 1 else rows[j + 1]
                 if not src:
                     continue
                 row = rows[j]
@@ -160,7 +153,7 @@ class _BaseKernels:
                         old = row.get(key)
                         row[key] = mul(ca, cs) if old is None else fma(old, ca, cs)
                 rows[j] = {g: c for g, c in row.items() if not is_zero(c)}
-        return rows
+        return rows[:count]
 
     def mul_keyed(self, xs, ys) -> list:
         """Schoolbook product of keyed rows, one ``fma`` per term pair."""
@@ -213,6 +206,29 @@ def _from_int_keys(rows, d, is_zero) -> list:
     ]
 
 
+def _term_work(shift, rows, count) -> int:
+    """An upper bound on the term operations of a keyed sweep of
+    ``count`` rows: each of at most ``count * n`` folds costs
+    ``s = |supp a|`` per term of its row, and no row has more terms than
+    the span of the keys it can reach or ``sum_j |supp f_j| *
+    C(j+s-1, s-1)`` (``a**m`` has at most ``C(m+s-1, s-1)`` terms; the
+    span alone over-counts when exponents have large denominators)."""
+    n, s = len(rows), len(shift)
+    keys = [g for g, _ in shift]
+    down, up = min(0, min(keys)), max(0, max(keys))
+    lo = min(min(g for g, _ in row) + j * down for j, row in enumerate(rows) if row)
+    hi = max(max(g for g, _ in row) + j * up for j, row in enumerate(rows) if row)
+    span = hi - lo + 1
+    terms, binom = 0, 1  # binom = C(j+s-1, s-1)
+    for j, row in enumerate(rows):
+        terms += len(row) * binom
+        if terms >= span:
+            terms = span
+            break
+        binom = binom * (j + s) // (j + 1)
+    return count * n * terms * s
+
+
 # ---------------------------------------------------------------------
 # Base / residue fields
 
@@ -225,8 +241,8 @@ class Rationals(_BaseKernels):
     Gerhard, *Modern Computer Algebra*, ch. 6; Bareiss 1968): the
     denominators are cleared once, the sweep runs on Python ints, and
     each output coefficient is divided once.  Over a Puiseux field with
-    this base the same happens on keyed rows.  Shifts of degree at most
-    one keep the direct fold, which is faster there.
+    this base the same happens on keyed rows.  Sweeps of degree at most
+    one keep the direct fold (:data:`_DIRECT_FOLD`).
     """
 
     @property
@@ -289,25 +305,39 @@ class Rationals(_BaseKernels):
 
     # -- integer kernels ------------------------------------------------
 
-    def taylor_shift_coeffs(self, coeffs, a) -> list:
-        """``f(T + a)`` on ints.  With ``L`` the lcm of the denominators
-        of ``f`` and ``a = A/D``, ``F_j = L*D**(n-1-j)*f_j`` are integers,
-        shifting ``F`` by ``A`` gives ``G`` and
-        ``g_i = G_i / (L*D**(n-1-i))``.  Since ``g_0 = f(a)``, the same
-        bound as :meth:`evaluate_coeffs` applies, checked before any
-        scaling on ``|G_i| <= max |F_j| * (2*|A|)**(n-1)``."""
+    def taylor_shift_coeffs(self, coeffs, a, count) -> list:
+        """The first ``count`` coefficients of ``f(T + a)`` on ints.  With
+        ``L`` the lcm of the denominators of ``f`` and ``a = A/D``,
+        ``F_j = L*D**(n-1-j)*f_j`` are integers, shifting ``F`` by ``A``
+        gives ``G`` and ``g_i = G_i / (L*D**(n-1-i))``; only the first
+        ``count`` are divided.  Row 0 brings the powers of ``D`` in as it
+        goes, which is Horner's rule homogenised, and keeps its partial
+        sums only when later rows read them.  :func:`_check_q_size` bounds
+        the size of the numbers first."""
         n = len(coeffs)
-        if n <= 2 or not a:
-            return super().taylor_shift_coeffs(coeffs, a)
+        if n <= _DIRECT_FOLD:
+            return super().taylor_shift_coeffs(coeffs, a, count)
         A, D = a.numerator, a.denominator
+        if not A:
+            return list(coeffs[:count])
         L = lcm(*[c.denominator for c in coeffs])
-        top = max(abs(c.numerator) for c in coeffs)
-        size = (L * top).bit_length() + (n - 1) * (A.bit_length() + D.bit_length() + 1)
-        check_bits(size, "a Taylor shift")
-        scale = _scales(L, D, n)
-        cs = [c.numerator * (s // c.denominator) for c, s in zip(coeffs, scale)]
-        _shift_ints(cs, A)
-        return [Fraction(c, s) for c, s in zip(cs, scale)]
+        cs = [c.numerator * (L // c.denominator) for c in coeffs]
+        _check_q_size(max(c.bit_length() for c in cs), n, A, D, count)
+        acc, power = cs[-1], 1
+        for j in range(n - 2, -1, -1):
+            power *= D
+            acc = cs[j] * power + A * acc
+            if count > 1:
+                cs[j] = acc
+        scale = L * power
+        out = [Fraction(acc, scale)]
+        for i in range(1, count):
+            acc = cs[-1]
+            for j in range(n - 2, i - 1, -1):
+                acc = cs[j] = cs[j] + A * acc
+            scale //= D
+            out.append(Fraction(acc, scale))
+        return out
 
     def mul_coeffs(self, xs, ys) -> list:
         """The schoolbook product of ``Lx*x`` and ``Ly*y`` on ints, with
@@ -324,60 +354,40 @@ class Rationals(_BaseKernels):
         den = lx * ly
         return [Fraction(z, den) for z in out]
 
-    def evaluate_coeffs(self, coeffs, a):
-        """``f(u/v)`` as ``F(u, v) / (L*v**n)``, where
-        ``F(u, v) = L*v**n*f(u/v)`` is Horner's rule homogenised on ints
-        and ``L`` clears the denominators of ``f``.  Its size, about ``n``
-        times the bits of ``u`` and ``v`` plus those of ``L*f``, is known
-        before the loop and bounded by :data:`MAX_EXACT_BITS`."""
-        n = len(coeffs) - 1
-        if n < 1:
-            return _horner(self, coeffs, a)
-        u, v = a.numerator, a.denominator
-        L = lcm(*[c.denominator for c in coeffs])
-        cs = [c.numerator * (L // c.denominator) for c in coeffs]
-        size = max(c.bit_length() for c in cs) + n * max(u.bit_length(), v.bit_length())
-        check_bits(size + n.bit_length(), "exact evaluation")
-        acc, vpow = 0, 1
-        for c in reversed(cs):
-            acc = acc * u + c * vpow
-            vpow *= v
-        return Fraction(acc, L * (vpow // v))
-
-    def shift_keyed(self, shift, rows) -> list:
+    def shift_keyed(self, shift, rows, count) -> list:
         """:meth:`taylor_shift_coeffs` term by term on keyed rows: the
         same scaling clears the denominators of every term, and the sweep
         folds ``D*a`` in with one int product per pair of terms.  The
-        same bound applies, with ``|A|`` the sum of the numerators of
+        same bound applies, with ``A`` the sum of the numerators of
         ``D*a``."""
         n = len(rows)
-        if n <= 2 or not shift:
-            return super().shift_keyed(shift, rows)
+        if n <= _DIRECT_FOLD:
+            return super().shift_keyed(shift, rows, count)
         D = lcm(*[c.denominator for _, c in shift])
         L = lcm(*[c.denominator for row in rows for _, c in row])
         shift = [(g, c.numerator * (D // c.denominator)) for g, c in shift]
-        top = max(abs(c.numerator) for row in rows for _, c in row)
-        A = sum(abs(c) for _, c in shift)
-        size = (L * top).bit_length() + (n - 1) * (A.bit_length() + D.bit_length() + 1)
-        check_bits(size, "a Taylor shift")
-        scale = _scales(L, D, n)
-        rows = [
-            {g: c.numerator * (s // c.denominator) for g, c in row}
-            for row, s in zip(rows, scale)
-        ]
-        for i in range(n):
+        rows = [{g: c.numerator * (L // c.denominator) for g, c in row} for row in rows]
+        lf_bits = max(c.bit_length() for row in rows for c in row.values())
+        _check_q_size(lf_bits, n, sum(abs(c) for _, c in shift), D, count)
+        power = 1
+        for i in range(count):
             for j in range(n - 2, i - 1, -1):
-                src = rows[j + 1]
-                if not src:
-                    continue
+                src = rows.pop() if i == count - 1 else rows[j + 1]
                 row = rows[j]
+                if i == 0:  # the powers of D, as in taylor_shift_coeffs
+                    power *= D
+                    row = {g: c * power for g, c in row.items()}
                 get = row.get
                 for ga, ca in shift:
                     for gs, cs in src.items():
                         key = ga + gs
                         row[key] = get(key, 0) + ca * cs
                 rows[j] = {g: c for g, c in row.items() if c}
-        return [{g: Fraction(c, s) for g, c in row.items()} for row, s in zip(rows, scale)]
+        out, scale = [], L * power
+        for row in rows:
+            out.append({g: Fraction(c, scale) for g, c in row.items()})
+            scale //= D
+        return out
 
     def mul_keyed(self, xs, ys) -> list:
         """:meth:`mul_coeffs` term by term on keyed rows."""
@@ -543,14 +553,11 @@ class _OverBase:
     def format_element(self, x) -> str:
         return self.base.format_element(x)
 
-    def taylor_shift_coeffs(self, coeffs, a) -> list:
-        return self.base.taylor_shift_coeffs(coeffs, a)
+    def taylor_shift_coeffs(self, coeffs, a, count) -> list:
+        return self.base.taylor_shift_coeffs(coeffs, a, count)
 
     def mul_coeffs(self, xs, ys) -> list:
         return self.base.mul_coeffs(xs, ys)
-
-    def evaluate_coeffs(self, coeffs, a):
-        return self.base.evaluate_coeffs(coeffs, a)
 
 
 @record
@@ -719,8 +726,9 @@ class PuiseuxField:
                 acc[g] = self.base.add(acc.get(g, self.base.zero), prod)
         return self._normalize(acc)
 
-    def taylor_shift_coeffs(self, coeffs, a) -> list:
-        """Synthetic-division shift on integer exponent keys.
+    def taylor_shift_coeffs(self, coeffs, a, count) -> list:
+        """The first ``count`` coefficients of ``f(T + a)`` on integer
+        exponent keys.
 
         Every exponent of the coefficients and of ``a`` is scaled by
         their common denominator ``D``, so each row is a dict from int
@@ -728,10 +736,16 @@ class PuiseuxField:
         ``shift_keyed`` runs the sweep: over Q on ints with the
         denominators cleared, over F_p one ``fma`` per pair of terms.
         Exponents go back to ``Fraction`` once at the end; the result is
-        the same as the generic sweep through ``add`` and ``mul``.
+        the same as the generic sweep through ``add`` and ``mul``.  A
+        :func:`_term_work` past ``MAX_TERM_WORK`` is refused up front.
         """
+        if not a or not coeffs:
+            return list(coeffs[:count])
         d, (shift, *rows) = _int_keys((a, *coeffs))
-        return _from_int_keys(self.base.shift_keyed(shift, rows), d, self.base.is_zero)
+        work = _term_work(shift, rows, count)
+        if work > MAX_TERM_WORK:
+            raise DomainError(f"a sweep would need {work} term operations, above {MAX_TERM_WORK}")
+        return _from_int_keys(self.base.shift_keyed(shift, rows, count), d, self.base.is_zero)
 
     def mul_coeffs(self, xs, ys) -> list:
         """Schoolbook product on the integer keys of
@@ -741,21 +755,6 @@ class PuiseuxField:
         d, keyed = _int_keys((*xs, *ys))
         rows = self.base.mul_keyed(keyed[: len(xs)], keyed[len(xs):])
         return _from_int_keys(rows, d, self.base.is_zero)
-
-    def evaluate_coeffs(self, coeffs, a):
-        """``f(a)`` by Horner's rule through ``add`` and ``mul``.  Over Q
-        the size of its numbers is estimated first, as in
-        :meth:`Rationals.evaluate_coeffs` with ``u`` the sum of the
-        numerators of ``v*a``, and bounded by :data:`MAX_EXACT_BITS`."""
-        n = len(coeffs) - 1
-        if self.base.char == 0 and n >= 1 and a:
-            v = lcm(*[c.denominator for _, c in a])
-            u = sum(abs(c.numerator) * (v // c.denominator) for _, c in a)
-            L = lcm(*[c.denominator for x in coeffs for _, c in x])
-            top = max(abs(c.numerator) for x in coeffs for _, c in x)
-            size = (L * top).bit_length() + n * max(u.bit_length(), v.bit_length())
-            check_bits(size + n.bit_length(), "exact evaluation")
-        return _horner(self, coeffs, a)
 
     def trim_center(self, a: PuiseuxElem, r: Magnitude) -> PuiseuxElem:
         """The canonical center of ``E(a, r)``: the terms of ``a`` with

@@ -554,23 +554,6 @@ def convex_hull(points) -> SkeletonGraph:
     return SkeletonGraph(vertices, tuple(edges), marked)
 
 
-def _on_graph(x: Point, g: SkeletonGraph) -> bool:
-    for v in g.vertices:
-        if v.point is not None and point_eq(x, v.point):
-            return True
-    for e in g.edges:
-        u = g.vertex(e.u).point
-        w = g.vertex(e.v).point
-        if u is None:
-            continue
-        if w is None:
-            if point_leq(u, x):
-                return True
-        elif point_leq(u, x) and point_leq(x, w):
-            return True
-    return False
-
-
 def top_vertex(g: SkeletonGraph) -> SkeletonVertex:
     """Highest vertex with an honest point (the root of the disc order)."""
     real = [v for v in g.vertices if v.point is not None]
@@ -583,13 +566,12 @@ def top_vertex(g: SkeletonGraph) -> SkeletonVertex:
 
 def retract_to_hull(x: Point, g: SkeletonGraph) -> Point:
     """Nearest point of the subtree ``g``, the gate every path to ``g``
-    passes through."""
+    passes through; a point of ``g`` is the join below or above it, so
+    :func:`join` returns it unchanged."""
     if isinstance(x, ChainPoint):
         raise DomainError("retraction of chain points is not supported")
     if not g.vertices:
         raise DomainError("retraction onto an empty graph")
-    if _on_graph(x, g):
-        return x
     top = top_vertex(g)
     if point_leq(x, top.point):
         # x sits inside the top disc: it climbs until it first meets the

@@ -106,11 +106,11 @@ class Poly(Frozen):
         return Poly.make(k, [k.mul(c, a) for a in self.coeffs])
 
     def evaluate(self, a):
-        """``f(a)`` by Horner's rule, run by the field's
-        ``evaluate_coeffs``: over Q homogenised on ints, and refused with
-        :class:`DomainError` when its numbers would pass
-        ``errors.MAX_EXACT_BITS``."""
-        return self.field.evaluate_coeffs(self.coeffs, a)
+        """``f(a) = g_0`` for ``g = f(T + a)``: the first row of the
+        field's sweep, Horner's rule (over Q homogenised on ints), refused
+        with :class:`DomainError` past ``errors.MAX_EXACT_BITS``."""
+        k = self.field
+        return k.taylor_shift_coeffs(self.coeffs, a, 1)[0] if self.coeffs else k.zero
 
     def monic(self) -> "Poly":
         if self.is_zero:
@@ -131,14 +131,14 @@ def taylor_shift(f: Poly, a) -> Poly:
     The field runs the classic synthetic-division sweep (von zur Gathen
     and Gerhard, *Modern Computer Algebra*, ch. 10): ``a`` is folded in
     one row at a time, so the cost is quadratic in the degree with no
-    binomials.  Over Q it runs on ints with the denominators cleared,
-    Puiseux fields run it on integer exponent keys, and the others
-    through their own ``add`` and ``mul``.  Either way the result is
-    exact.  Callers that only need ``f`` on a disc ``E(a, r)`` should
-    use :func:`disc_expansion`, which shifts by a trimmed center.
+    binomials, and row 0 alone is :meth:`Poly.evaluate`.  Over Q it runs
+    on ints with the denominators cleared, Puiseux fields on integer
+    exponent keys, and the others through their own ``add`` and ``mul``.
+    Callers that only need ``f`` on a disc ``E(a, r)`` should use
+    :func:`disc_expansion`, which shifts by a trimmed center.
     """
     k = f.field
-    return Poly.make(k, k.taylor_shift_coeffs(f.coeffs, a))
+    return Poly.make(k, k.taylor_shift_coeffs(f.coeffs, a, len(f.coeffs)))
 
 
 def disc_expansion(f: Poly, a, r: Magnitude) -> Poly:

@@ -295,6 +295,28 @@ def test_exact_evaluation_beyond_the_bound_exits_4():
         assert '"exponent": "0"' in out
 
 
+def test_puiseux_term_work_beyond_the_bound_exits_4():
+    # powers of a center with three incommensurable exponents have
+    # supports that grow with the cube of the degree: the number of term
+    # operations is estimated from the supports and refused up front
+    center = "t^(1/7)+t^(1/11)+t^(1/13)"
+    for field, point in (
+        ("puiseux:F5", f"pt1({center})"),
+        ("puiseux:Q", f"pt1({center})"),
+        ("puiseux:F5", f"disc({center}; 2)"),
+    ):
+        start = time.perf_counter()
+        code, out, err = invoke(["eval", "--field", field, "--poly", "T^4096+T", point])
+        label = (field, point[:4])
+        assert time.perf_counter() - start < 2.0, label
+        assert (code, out, err.count("\n")) == (4, "", 1), label
+        assert err.startswith("precondition violated: ") and "term operations" in err
+    for field in ("puiseux:F5", "puiseux:Q"):
+        code, out, err = invoke(["eval", "--field", field, "--poly", "T^200+T", f"pt1({center})"])
+        assert (code, err) == (0, "")
+        assert '"exponent": "1/13"' in out
+
+
 def test_strict_squares_column():
     code, out, err = invoke(
         ["hyper", "--field", "padic:5", "--roots", "0,5", "--lc", "2", "--strict-squares"]

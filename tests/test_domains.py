@@ -144,6 +144,17 @@ def test_shilov_boundary_frozen():
     ]
 
 
+def test_shilov_hole_of_full_radius_frozen():
+    """A hole with the disc's own radius adds no Shilov point, as an
+    annulus with equal radii has one: its maximal point is the disc's."""
+    for hole in (Fraction(0), Fraction(1)):
+        sd = DiscMinusHoles(Q5, Fraction(0), fin(0), ((hole, fin(0)),))
+        assert [str(p) for p in shilov_boundary(sd)] == ["disc(0; 0)"]
+        assert not in_interior(GAUSS, sd)
+    sd = DiscMinusHoles(Q5, Fraction(0), fin(0), ((Fraction(1), fin(0)), (Fraction(0), fin(1))))
+    assert [str(p) for p in shilov_boundary(sd)] == ["disc(0; 0)", "disc(0; 1)"]
+
+
 def test_shilov_points_are_members():
     shapes = [
         UNIT_DISC,

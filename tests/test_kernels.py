@@ -3,14 +3,16 @@
 Over Q the Taylor shift, the product and the evaluation run on Python
 ints with the denominators cleared (dense for ``padic`` and ``trivial``
 coefficients, on integer exponent keys for Puiseux sums); over F_p the
-Puiseux kernels go through the base field's ``fma``.  Every one of them
-must agree term for term with the generic constructions through the
-field's own ``add`` and ``mul``, kept in ``oracles.py``, and over Q with
-sympy.
+Puiseux kernels and the dense ``trivial`` ones go through the base
+field's ``fma``.  Evaluation is the first row of the shift.  Every one
+of them must agree term for term with the generic constructions through
+the field's own ``add`` and ``mul``, kept in ``oracles.py``, and over Q
+with sympy.
 """
 
 import random
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,6 +29,7 @@ from berkline import (
     taylor_shift,
 )
 from berkline.errors import MAX_EXACT_BITS
+from berkline.fields import _int_keys, _term_work
 from oracles import horner, schoolbook_coeffs, synthetic_shift
 
 # ``Rationals()`` rather than ``QQ``: the integer kernels are chosen by
@@ -36,6 +39,7 @@ FIELDS = {
     "trivialQ": TrivialField(Rationals()),
     "puiseuxQ": PuiseuxField(Rationals()),
     "puiseuxF3": PuiseuxField(PrimeField(3)),
+    "trivialF7": TrivialField(PrimeField(7)),
 }
 
 # Mixed small and large denominators, so the lcm that clears them is
@@ -62,7 +66,7 @@ def element(field, data, nonzero=False):
     if not nonzero and data.draw(st.integers(0, 3)) == 0:
         return field.zero
     if not isinstance(field, PuiseuxField):
-        return data.draw(_RATIONALS.filter(bool))
+        return _base_coefficient(field, data)
     acc = field.zero
     for g in data.draw(st.lists(_EXPONENTS, min_size=1, max_size=3, unique=True)):
         acc = field.add(acc, field.monomial(g, _base_coefficient(field, data)))
@@ -86,7 +90,7 @@ def test_shift_matches_generic_sweep(name, data):
     field = FIELDS[name]
     cs = coefficients(field, data, data.draw(_DEGREES))
     a = element(field, data)
-    assert field.taylor_shift_coeffs(cs, a) == synthetic_shift(field, cs, a)
+    assert field.taylor_shift_coeffs(cs, a, len(cs)) == synthetic_shift(field, cs, a)
 
 
 @pytest.mark.parametrize("name", FIELDS)
@@ -118,10 +122,25 @@ def test_evaluation_matches_horner(name, data):
     assert f.evaluate(a) == horner(field, cs, a)
 
 
+@pytest.mark.parametrize("name", FIELDS)
+def test_zero_polynomial_and_zero_shift(name):
+    """The zero polynomial shifts to itself and evaluates to zero, and a
+    shift by zero changes nothing, at the degrees of both kernels."""
+    field = FIELDS[name]
+    a = field.one
+    assert taylor_shift(Poly(field, ()), a) == Poly(field, ())
+    assert Poly(field, ()).evaluate(a) == field.zero
+    for degree in (1, 5):
+        cs = [field.from_int(i + 1) for i in range(degree + 1)]
+        assert field.taylor_shift_coeffs(cs, field.zero, len(cs)) == cs
+        assert Poly.make(field, cs).evaluate(field.zero) == cs[0]
+
+
 def test_integer_kernels_do_not_touch_fraction_arithmetic(monkeypatch):
     """Over Q the kernels of degree two and up never call the base
     field's ``add``, ``mul`` or ``fma``, whichever ``Rationals``
-    instance the field was built on."""
+    instance the field was built on: shifts, products and evaluation,
+    dense and over Puiseux sums."""
     rng = random.Random(3)
     cases = []
     for field in (FIELDS["padic5"], FIELDS["trivialQ"], Rationals()):
@@ -137,7 +156,11 @@ def test_integer_kernels_do_not_touch_fraction_arithmetic(monkeypatch):
     puiseux = FIELDS["puiseuxQ"]
     t = puiseux.t
     pcs = [puiseux.add(t, puiseux.from_int(i)) for i in range(1, 5)]
-    expected_puiseux = (synthetic_shift(puiseux, pcs, t), schoolbook_coeffs(puiseux, pcs, pcs))
+    expected_puiseux = (
+        synthetic_shift(puiseux, pcs, t),
+        schoolbook_coeffs(puiseux, pcs, pcs),
+        horner(puiseux, pcs, t),
+    )
 
     def refuse(*args):
         raise AssertionError("Fraction arithmetic inside an integer kernel")
@@ -146,12 +169,17 @@ def test_integer_kernels_do_not_touch_fraction_arithmetic(monkeypatch):
         monkeypatch.setattr(Rationals, name, refuse)
     for field, cs, a, expected in cases:
         got = (
-            field.taylor_shift_coeffs(cs, a),
+            field.taylor_shift_coeffs(cs, a, len(cs)),
             field.mul_coeffs(cs, cs),
             Poly.make(field, cs).evaluate(a),
         )
         assert got == expected
-    assert (puiseux.taylor_shift_coeffs(pcs, t), puiseux.mul_coeffs(pcs, pcs)) == expected_puiseux
+    got = (
+        puiseux.taylor_shift_coeffs(pcs, t, len(pcs)),
+        puiseux.mul_coeffs(pcs, pcs),
+        Poly.make(puiseux, pcs).evaluate(t),
+    )
+    assert got == expected_puiseux
 
 
 def _sympy_q(sympy, cs):
@@ -176,7 +204,7 @@ def test_kernels_match_sympy_over_q():
         a = Fraction(rng.randint(-(10**20), 10**20), rng.choice(dens))
         f, g = _sympy_q(sympy, cs), _sympy_q(sympy, ds)
         at = sympy.Rational(a.numerator, a.denominator)
-        assert field.taylor_shift_coeffs(cs, a) == _from_sympy(f.shift(at))
+        assert field.taylor_shift_coeffs(cs, a, len(cs)) == _from_sympy(f.shift(at))
         if any(ds):
             product = _from_sympy(f * g)
             got = field.mul_coeffs(cs, ds)
@@ -201,3 +229,74 @@ def test_exact_work_is_bounded():
     with pytest.raises(DomainError, match="above"):
         q5.element_with_valuation(Exponent(-(e + 1)))
     assert q5.element_with_valuation(Exponent(Fraction(1, 2))) is None
+
+
+@pytest.mark.parametrize("name", ["padic5", "puiseuxQ"])
+def test_size_bounds_at_the_threshold(name):
+    """A sweep over Q whose estimated size is exactly ``MAX_EXACT_BITS``
+    runs and one bit more is refused, for one row (evaluation) and for
+    the whole shift, dense and keyed.  The input is ``c*T^4`` with ``c``
+    of ``lf`` bits at ``a = A/D = 3/2`` (keyed: ``3/2 + t``, where ``A``
+    is 3 + 2, the sum of the numerators of ``2*a``).  One row needs
+    ``lf + 4*max(bits A, bits D) + bits(4)``, the shift
+    ``lf + 4*(bits A + bits D + 1)``."""
+    field = FIELDS[name]
+    keyed = isinstance(field, PuiseuxField)
+    a = field.parse_element("3/2+t" if keyed else "3/2")
+    bits_a = 3 if keyed else 2
+    for what, extra, run, oracle in (
+        ("exact evaluation", 4 * bits_a + 3, lambda f: f.evaluate(a), horner),
+        ("a Taylor shift", 4 * (bits_a + 3), lambda f: list(taylor_shift(f, a).coeffs),
+         synthetic_shift),
+    ):
+        lf = MAX_EXACT_BITS - extra
+        cs = [field.zero] * 4 + [field.from_int(1 << (lf - 1))]  # lf bits
+        assert run(Poly.make(field, cs)) == oracle(field, cs, a), what
+        cs[-1] = field.from_int(1 << lf)
+        with pytest.raises(DomainError, match=what):
+            run(Poly.make(field, cs))
+
+
+_F10007 = PuiseuxField(PrimeField(10007))
+
+
+def _work_and_calls(field, cs, a, count):
+    """``_term_work`` of a keyed sweep and the number of term operations
+    it made: over F_p each is one call of the base field's ``mul`` or
+    ``fma``."""
+    _, (shift, *rows) = _int_keys((a, *cs))
+    calls = []
+
+    def counting(method):
+        return lambda self, *args: calls.append(1) or method(self, *args)
+
+    with patch.object(PrimeField, "mul", counting(PrimeField.mul)):
+        with patch.object(PrimeField, "fma", counting(PrimeField.fma)):
+            field.base.shift_keyed(shift, rows, count)
+    return _term_work(shift, rows, count), len(calls)
+
+
+@_SETTINGS
+@given(data=st.data(), count=st.sampled_from([1, None]))
+def test_term_work_bounds_the_sweep(data, count):
+    """``_term_work`` is an upper bound on the term operations."""
+    field = _F10007
+    cs = coefficients(field, data, data.draw(st.integers(0, 9)))
+    a = element(field, data, nonzero=True)
+    work, calls = _work_and_calls(field, cs, a, len(cs) if count is None else count)
+    assert calls <= work
+
+
+def test_term_work_is_tight_where_the_supports_fill():
+    """Where every row fills the key span, the estimate is within a
+    small factor of the work done: evaluation of coefficients with 21
+    terms each at ``1 + t + t^2``, and of ``T^9`` at ``1 + t^(-1)``,
+    whose keys run below zero."""
+    field = _F10007
+    dense = field.parse_element("+".join(f"t^({k})" for k in range(21)))
+    for cs, a in (
+        ([dense] * 10, field.parse_element("1+t+t^(2)")),
+        ([field.zero] * 9 + [field.one], field.parse_element("1+t^(-1)")),
+    ):
+        work, calls = _work_and_calls(field, cs, a, 1)
+        assert calls <= work <= 3 * calls

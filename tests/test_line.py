@@ -8,6 +8,7 @@ import pytest
 
 from berkline import (
     INF,
+    BranchData,
     INFINITY_DIR,
     MAG_ONE,
     ChainPoint,
@@ -22,6 +23,7 @@ from berkline import (
     classify,
     components_count,
     convex_hull,
+    cover_skeleton,
     direction,
     eval_seminorm,
     format_point,
@@ -38,7 +40,7 @@ from berkline import (
     top_vertex,
     torus_retract,
 )
-from helpers import LSER, Q5, rand_element, rand_point, rand_poly, rand_radius
+from helpers import LSER, Q5, distinct_roots, rand_element, rand_point, rand_poly, rand_radius
 from oracles import reference_convex_hull
 
 
@@ -384,6 +386,47 @@ def test_retract_is_idempotent_and_lands_on_hull():
         for p in pts:
             if point_eq(x, p):
                 assert point_eq(r, x)
+
+
+def _between(lo: Exponent, hi: Exponent) -> Exponent:
+    return Exponent((lo.a + hi.a) / 2, (lo.b + hi.b) / 2)
+
+
+def _points_of(g):
+    """The vertices of ``g``, a point inside every finite edge, and two
+    points on the ray of an edge to infinity."""
+    out = [v.point for v in g.vertices if v.point is not None]
+    for e in g.edges:
+        lower, upper = g.vertex(e.u).point, g.vertex(e.v).point
+        center = lower.center
+        low = None if isinstance(lower, Type1Point) else lower.radius.exponent
+        if upper is None:
+            exps = [low - Exponent(1), low - Exponent(Fraction(7, 2), 1)]
+        elif low is None:
+            exps = [upper.radius.exponent + Exponent(1, 1)]
+        else:
+            exps = [_between(upper.radius.exponent, low)]
+        out.extend(DiscPoint(lower.field, center, Magnitude.finite(x)) for x in exps)
+    return out
+
+
+def test_points_of_a_hull_retract_to_themselves():
+    """Every vertex, edge point and ray point of a hull and of a cover
+    skeleton is its own retraction, text and all."""
+    rng = random.Random(113)
+    graphs = []
+    for field in (Q5, LSER):
+        for _ in range(6):
+            pts = [rand_point(rng, field) for _ in range(rng.randint(1, 5))]
+            graphs.append(convex_hull(pts))
+        for d in (3, 4, 5):
+            roots = distinct_roots(rng, field, d)
+            graphs.append(cover_skeleton(BranchData.from_roots(field, roots)).base)
+    assert any(v.point is None for g in graphs for v in g.vertices)  # rays are reached
+    for g in graphs:
+        for x in _points_of(g):
+            r = retract_to_hull(x, g)
+            assert point_eq(r, x) and format_point(r) == format_point(x)
 
 
 # -- text forms --------------------------------------------------------
