@@ -6,55 +6,22 @@ failures print a single diagnostic line naming the offending grammar
 rule.  All JSON output is deterministic: keys sorted, exact values as
 strings or ints, floats only in fields named "approx" which are display
 only and never fed back into computations.
-"""
 
-from __future__ import annotations
+Start-up is part of every call, so each subcommand imports the library
+modules it runs inside its own function, and this module loads only
+``errors`` at import.  ``classify``, ``eval``, ``path``, ``hull`` and
+``retract`` load ``exponents``, ``fields``, ``polynomials`` and ``line``;
+``member``, ``shilov`` and ``reduce`` add ``domains``; ``elliptic`` and
+``hyper`` add ``hyperelliptic``; ``nadic`` and ``mspecz`` load only
+``exponents`` and ``zspectrum``.
+"""
 
 import argparse
 import json
 import sys
 from fractions import Fraction
 
-from .domains import (
-    member,
-    parse_domain,
-    parse_standard_domain,
-    reduce_point,
-    shilov_boundary,
-    to_domain,
-    GENERIC,
-)
 from .errors import DomainError, ParseError, read_literal
-from .exponents import Magnitude, format_exponent, format_length
-from .fields import PAdicField, parse_field
-from .hyperelliptic import (
-    BranchData,
-    GoodReduction,
-    Multiplicative,
-    cover_skeleton,
-    elliptic_reduction,
-    fiber_count,
-)
-from .line import (
-    classify,
-    components_count,
-    convex_hull,
-    eval_seminorm,
-    format_point,
-    parse_point,
-    path,
-    retract_to_hull,
-    seminorm_is_exact,
-)
-from .polynomials import parse_poly
-from .zspectrum import (
-    RealMag,
-    format_zpoint,
-    nadic_norm,
-    nadic_spectral,
-    parse_zpoint,
-    zpoint_eval,
-)
 
 
 def _frac_json(q: Fraction):
@@ -71,7 +38,10 @@ def _with_approx(out: dict, approx) -> dict:
     return out
 
 
-def _mag_json(mag: Magnitude, field=None) -> dict:
+def _mag_json(mag, field=None) -> dict:
+    from .exponents import format_exponent
+    from .fields import PAdicField
+
     if mag.is_zero:
         return {"zero": True}
     out = {"zero": False, "exponent": format_exponent(mag.exponent)}
@@ -80,7 +50,7 @@ def _mag_json(mag: Magnitude, field=None) -> dict:
     return out
 
 
-def _realmag_json(v: RealMag) -> dict:
+def _realmag_json(v) -> dict:
     if v.is_zero:
         return {"zero": True}
     return _with_approx({"base": _frac_json(v.base), "exp": _frac_json(v.exp)}, v.to_float)
@@ -153,6 +123,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_classify(args) -> None:
+    from .fields import parse_field
+    from .line import classify, components_count, parse_point
+
     field = parse_field(args.field)
     x = parse_point(field, args.point)
     pc = classify(x)
@@ -168,6 +141,10 @@ def _cmd_classify(args) -> None:
 
 
 def _cmd_eval(args) -> None:
+    from .fields import parse_field
+    from .line import eval_seminorm, parse_point, seminorm_is_exact
+    from .polynomials import parse_poly
+
     field = parse_field(args.field)
     x = parse_point(field, args.point)
     f = parse_poly(field, args.poly)
@@ -181,6 +158,10 @@ def _cmd_eval(args) -> None:
 
 
 def _cmd_path(args) -> None:
+    from .exponents import format_length
+    from .fields import parse_field
+    from .line import parse_point, path
+
     field = parse_field(args.field)
     x = parse_point(field, args.start)
     y = parse_point(field, args.end)
@@ -203,6 +184,8 @@ def _cmd_path(args) -> None:
 
 
 def _graph_json(g) -> dict:
+    from .exponents import format_length
+
     return {
         "vertices": [
             {
@@ -221,6 +204,9 @@ def _graph_json(g) -> dict:
 
 
 def _cmd_hull(args) -> None:
+    from .fields import parse_field
+    from .line import convex_hull, parse_point
+
     field = parse_field(args.field)
     pts = [parse_point(field, t) for t in args.points]
     g = convex_hull(pts)
@@ -233,6 +219,10 @@ def _cmd_hull(args) -> None:
 
 
 def _cmd_member(args) -> None:
+    from .domains import member, parse_domain, parse_standard_domain, to_domain
+    from .fields import parse_field
+    from .line import parse_point, seminorm_is_exact
+
     field = parse_field(args.field)
     x = parse_point(field, args.point)
     if args.standard is not None:
@@ -251,6 +241,10 @@ def _cmd_member(args) -> None:
 
 
 def _cmd_shilov(args) -> None:
+    from .domains import parse_standard_domain, shilov_boundary
+    from .fields import parse_field
+    from .line import format_point
+
     field = parse_field(args.field)
     sd = parse_standard_domain(field, args.standard)
     _emit(
@@ -262,6 +256,10 @@ def _cmd_shilov(args) -> None:
 
 
 def _cmd_reduce(args) -> None:
+    from .domains import GENERIC, reduce_point
+    from .fields import parse_field
+    from .line import parse_point
+
     field = parse_field(args.field)
     x = parse_point(field, args.point)
     r = reduce_point(x)
@@ -278,6 +276,8 @@ def _cmd_reduce(args) -> None:
 
 
 def _cmd_mspecz(args) -> None:
+    from .zspectrum import format_zpoint, parse_zpoint, zpoint_eval
+
     zp = parse_zpoint(args.point)
     values = [read_literal(c, "integer", c, integer=True) for c in args.values.split(",")]
     _emit(
@@ -292,6 +292,8 @@ def _cmd_mspecz(args) -> None:
 
 
 def _cmd_nadic(args) -> None:
+    from .zspectrum import nadic_norm, nadic_spectral
+
     x = read_literal(args.x, "rational", args.x)
     _emit(
         {
@@ -303,6 +305,10 @@ def _cmd_nadic(args) -> None:
 
 
 def _cmd_elliptic(args) -> None:
+    from .exponents import format_exponent
+    from .fields import parse_field
+    from .hyperelliptic import Multiplicative, elliptic_reduction
+
     field = parse_field(args.field)
     lam = field.parse_element(args.lam)
     red = elliptic_reduction(field, lam)
@@ -328,6 +334,10 @@ def _cmd_elliptic(args) -> None:
 
 
 def _cmd_hyper(args) -> None:
+    from .fields import parse_field
+    from .hyperelliptic import BranchData, cover_skeleton, fiber_count
+    from .line import classify
+
     field = parse_field(args.field)
     roots = [field.parse_element(t) for t in args.roots.split(",")]
     lead = field.parse_element(args.lc) if args.lc is not None else None
@@ -357,6 +367,9 @@ def _cmd_hyper(args) -> None:
 
 
 def _cmd_retract(args) -> None:
+    from .fields import parse_field
+    from .line import convex_hull, format_point, parse_point, retract_to_hull
+
     field = parse_field(args.field)
     hull_pts = [parse_point(field, t) for t in args.hull_point]
     x = parse_point(field, args.point)
@@ -407,6 +420,14 @@ def run(argv) -> int:
 
 
 def main() -> None:
+    # A call is one short-lived process: what is alive now (the
+    # interpreter's start-up, the standard library, this module) stays
+    # until exit, so the cyclic collector skips it, here and in its passes
+    # at exit.  The library's objects, made after this, are collected as
+    # before.
+    import gc
+
+    gc.freeze()
     sys.exit(run(sys.argv[1:]))
 
 

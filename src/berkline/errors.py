@@ -1,7 +1,11 @@
 """Exception types shared across the library, the records its values are
-built from, the size bounds of exact work, and the text layer every
-grammar reads through: one scanner for parentheses with the split built
-on it, and one reader for rational and integer literals."""
+built from, the text layer every grammar reads through (one scanner for
+parentheses with the split built on it, and one reader for rational and
+integer literals), every bound on exact work, and the primality test and
+integer valuations that the p-adic fields and the spectrum of Z share.
+
+This module imports nothing else of the library, so a command that needs
+only these pieces loads no more."""
 
 import re
 from fractions import Fraction
@@ -148,10 +152,18 @@ def split_top(text: str, seps: str, rule: str, original: str) -> list:
     return parts
 
 
+# ---------------------------------------------------------------------
+# Bounds of exact work: past each, the library raises DomainError (the
+# CLI exits 4) up front instead of running for minutes or without end.
+
 # The longest digit run a literal may have: CPython's default limit for
 # converting between int and str, fixed here so the grammar does not
 # depend on the interpreter's setting.
 MAX_DIGITS = 4300
+
+# The largest degree the polynomial grammar accepts: ``T^k`` stores k+1
+# coefficients, so an unbounded k would exhaust memory.
+MAX_DEGREE = 4096
 
 # The largest number, in bits, that exact work over Q may build: the
 # value ``v**n * f(u/v)`` of an evaluation, the coefficients of a Taylor
@@ -163,6 +175,21 @@ MAX_EXACT_BITS = 1 << 20
 # The most term operations a sweep over Puiseux sums may make, estimated
 # from the supports up front: terms multiply even where bits stay small.
 MAX_TERM_WORK = 1 << 26
+
+# Miller-Rabin with the first thirteen primes as bases decides primality
+# exactly below this bound (Sorenson & Webster, "Strong pseudoprimes to
+# twelve prime bases", Math. Comp. 2017); above it no answer is given.
+PRIME_LIMIT = 3317044064679887385961981
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+# Factoring trial-divides only below this bound; larger prime factors
+# come from Pollard's rho.
+_TRIAL_BOUND = 1 << 10
+
+# Pollard's rho gets this many steps per cofactor: it expects about
+# sqrt(q) for a prime factor q, so factors near 10^9 split at once and a
+# cofactor it cannot split is refused in well under two seconds.
+_RHO_STEPS = 1 << 18
 
 _LITERAL = re.compile(r"(-?)([0-9]+)(?:/([0-9]+))?")
 
@@ -196,3 +223,54 @@ def check_bits(bits: int, what: str) -> None:
     """Refuse exact work whose numbers would exceed ``MAX_EXACT_BITS``."""
     if bits > MAX_EXACT_BITS:
         raise DomainError(f"{what} would need numbers above {MAX_EXACT_BITS} bits")
+
+
+# ---------------------------------------------------------------------
+# Primality and valuations of integers, shared by the p-adic fields and
+# the spectrum of Z
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin primality test for ``n < PRIME_LIMIT``.
+
+    Larger ``n`` raise :class:`DomainError` rather than risk a wrong
+    verdict or an unbounded search.
+    """
+    if n >= PRIME_LIMIT:
+        raise DomainError(f"primality is decided only below {PRIME_LIMIT}")
+    if n < 2:
+        return False
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _vp_int(m: int, p: int) -> int:
+    """The exponent of ``p`` in the nonzero integer ``m``."""
+    v = 0
+    while m % p == 0:
+        m //= p
+        v += 1
+    return v
+
+
+def _vp(x: Fraction, p: int) -> int:
+    """The p-adic valuation of the nonzero rational (or int) ``x``."""
+    d = x.denominator
+    v = _vp_int(x.numerator, p)
+    return v if d == 1 else v - _vp_int(d, p)

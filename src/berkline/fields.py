@@ -38,46 +38,10 @@ from math import isqrt, lcm
 from typing import Optional, Tuple, Union
 
 from .errors import (
-    MAX_TERM_WORK, DomainError, ParseError, check_bits, read_literal, record, split_top,
+    MAX_TERM_WORK, PRIME_LIMIT, DomainError, ParseError, _is_prime, _vp, check_bits,
+    read_literal, record, split_top,
 )
 from .exponents import EXP_ZERO, MAG_ZERO, Exponent, Magnitude, int_magnitude
-
-
-# Miller-Rabin with the first thirteen primes as bases decides primality
-# exactly below this bound (Sorenson & Webster, "Strong pseudoprimes to
-# twelve prime bases", Math. Comp. 2017); above it no answer is given.
-PRIME_LIMIT = 3317044064679887385961981
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-
-
-def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test for ``n < PRIME_LIMIT``.
-
-    Larger ``n`` raise :class:`DomainError` rather than risk a wrong
-    verdict or an unbounded search.
-    """
-    if n >= PRIME_LIMIT:
-        raise DomainError(f"primality is decided only below {PRIME_LIMIT}")
-    if n < 2:
-        return False
-    for q in _MR_BASES:
-        if n % q == 0:
-            return n == q
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for b in _MR_BASES:
-        x = pow(b, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
 
 
 # Sweeps over Q with at most this many coefficients, shifts and evaluation
@@ -168,22 +132,6 @@ class _BaseKernels:
                         old = row.get(key)
                         row[key] = mul(ca, cb) if old is None else fma(old, ca, cb)
         return out
-
-
-def _vp_int(m: int, p: int) -> int:
-    """The exponent of ``p`` in the nonzero integer ``m``."""
-    v = 0
-    while m % p == 0:
-        m //= p
-        v += 1
-    return v
-
-
-def _vp(x: Fraction, p: int) -> int:
-    """The p-adic valuation of the nonzero rational (or int) ``x``."""
-    d = x.denominator
-    v = _vp_int(x.numerator, p)
-    return v if d == 1 else v - _vp_int(d, p)
 
 
 def _int_keys(elems):

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import comb
 import re
 
-from .errors import DomainError, Frozen, split_top, top_level
+from .errors import MAX_DEGREE, DomainError, Frozen, split_top, top_level
 from .exponents import EXP_ZERO, Exponent, Magnitude
 from .fields import ValuedField
 
@@ -389,12 +389,6 @@ def is_constant_times_square(f: Poly) -> bool:
 # backend.
 
 _TERM_RE = re.compile(r"^(?:(?P<coef>.+)\*)?(?P<neg>-)?T(?:\^(?P<k>\d+))?$")
-
-# The largest degree the text form accepts.  ``T^k`` stores k+1
-# coefficients, so an unbounded k would exhaust memory; larger degrees
-# are refused with DomainError.
-MAX_DEGREE = 4096
-
 
 def _wrap(text: str) -> str:
     """A coefficient's text as the factor of a term: in parentheses when

@@ -16,9 +16,11 @@ import math
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Tuple, Union
 
-from .errors import DomainError, ParseError, read_literal, record
+from .errors import (  # the rho budgets are read through these names at call time
+    _RHO_STEPS, _TRIAL_BOUND, DomainError, ParseError, _is_prime, _vp, _vp_int, read_literal,
+    record,
+)
 from .exponents import Ordering
-from .fields import _is_prime, _vp, _vp_int
 
 
 # ---------------------------------------------------------------------
@@ -201,12 +203,6 @@ def zpoint_is_multiplicative_on(x: ZPoint, pairs: Sequence[Tuple[int, int]]) -> 
 
 # ---------------------------------------------------------------------
 # n-adic norms on the rationals
-
-
-# Trial division stops at this bound; larger prime factors come from
-# Pollard's rho, which gets this many steps per cofactor.
-_TRIAL_BOUND = 1 << 10
-_RHO_STEPS = 1 << 18
 
 
 def _rho_factor(n: int) -> int:

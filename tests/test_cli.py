@@ -149,6 +149,22 @@ def test_unknown_subcommand_exits_2():
     assert "unrecognized arguments: --json" in err
 
 
+SUBCOMMANDS = [argv[0] for argv, _ in FIXTURES]
+
+
+def test_help_exits_0_and_names_every_subcommand():
+    assert len(set(SUBCOMMANDS)) == 12
+    code, out, err = invoke(["--help"])
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: berkline")
+    listed = re.search(r"\{([a-z,]+)\}", out).group(1).split(",")
+    assert sorted(listed) == sorted(SUBCOMMANDS)
+    for cmd in SUBCOMMANDS:
+        code, out, err = invoke([cmd, "-h"])
+        assert (code, err) == (0, ""), cmd
+        assert out.startswith(f"usage: berkline {cmd}"), cmd
+
+
 def test_parse_failures_exit_3():
     code, out, err = invoke(["classify", "--field", "padic:5", "disc(0 1/2)"])
     assert code == 3

@@ -141,7 +141,12 @@ def test_assignment_raises_attribute_error():
 
 def test_import_loads_no_dataclass_machinery():
     src = Path(__file__).resolve().parent.parent / "src"
-    code = "import sys, berkline.cli; print(sorted({'dataclasses', 'inspect', 'ast'} & set(sys.modules)))"
+    # the package and the CLI load lazily: import every library module
+    code = (
+        "import sys, berkline.cli; from berkline import *; "
+        "print(sorted({'dataclasses', 'inspect', 'ast'} & set(sys.modules)), "
+        "len([m for m in sys.modules if m.startswith('berkline.')]))"
+    )
     out = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
@@ -149,4 +154,4 @@ def test_import_loads_no_dataclass_machinery():
         check=True,
         env={"PYTHONPATH": str(src)},
     ).stdout
-    assert out.strip() == "[]"
+    assert out.strip() == "[] 9"
