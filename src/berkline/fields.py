@@ -18,7 +18,8 @@ Magnitudes come back as :class:`berkline.exponents.Magnitude` values in
 log scale, so ``valuation(p) == rho**1`` for ``PAdicField(p)`` and
 ``valuation(t) == rho**1`` for any Puiseux backend.
 
-Three methods serve the polynomial layer: ``mul_coeffs``,
+Three methods serve the polynomial layer: ``mul_coeffs(*factors)``, the
+product of one or more coefficient lists in one call,
 ``taylor_shift_coeffs(coeffs, a, count)``, the first ``count``
 coefficients of ``f(T + a)`` (so ``count = 1`` is ``f(a)``, Horner's
 rule as the first row of the sweep), and ``trim_center`` (the valued
@@ -27,7 +28,7 @@ the radius removed.  The first two are written once per base field:
 ``padic`` and ``trivial`` backends forward them to their base, Puiseux
 fields run them on integer exponent keys through the base's keyed
 kernels, and over Q they run on Python ints with the denominators
-cleared once.
+cleared once per factor.
 """
 
 from __future__ import annotations
@@ -74,6 +75,7 @@ class _BaseKernels:
     base: each coefficient is a list of ``(int key, base coefficient)``
     terms, the keys being exponents scaled to integers by
     :func:`_int_keys`; they come back as dicts from key to coefficient.
+    Products multiply one or more factors in order, from the first.
     """
 
     def taylor_shift_coeffs(self, coeffs, a, count) -> list:
@@ -87,15 +89,17 @@ class _BaseKernels:
                 cs[j] = self.fma(cs[j], a, cs[j + 1])
         return cs[:count]
 
-    def mul_coeffs(self, xs, ys) -> list:
-        """Schoolbook product of two nonempty coefficient lists."""
-        out = [self.zero] * (len(xs) + len(ys) - 1)
-        for i, a in enumerate(xs):
-            if self.is_zero(a):
-                continue
-            for j, b in enumerate(ys):
-                out[i + j] = self.fma(out[i + j], a, b)
-        return out
+    def mul_coeffs(self, *factors) -> list:
+        """Schoolbook product of one or more nonempty coefficient lists."""
+        out, *rest = factors
+        for ys in rest:
+            xs, out = out, [self.zero] * (len(out) + len(ys) - 1)
+            for i, a in enumerate(xs):
+                if self.is_zero(a):
+                    continue
+                for j, b in enumerate(ys, i):
+                    out[j] = self.fma(out[j], a, b)
+        return list(out)
 
     def shift_keyed(self, shift, rows, count) -> list:
         """The first ``count`` rows of the synthetic-division sweep on
@@ -119,29 +123,38 @@ class _BaseKernels:
                 rows[j] = {g: c for g, c in row.items() if not is_zero(c)}
         return rows[:count]
 
-    def mul_keyed(self, xs, ys) -> list:
-        """Schoolbook product of keyed rows, one ``fma`` per term pair."""
+    def mul_keyed(self, *factors) -> list:
+        """Schoolbook product of keyed factors, one ``fma`` per term pair."""
         mul, fma = self.mul, self.fma
-        out = [{} for _ in range(len(xs) + len(ys) - 1)]
-        for i, x in enumerate(xs):
-            for j, y in enumerate(ys):
-                row = out[i + j]
-                for ga, ca in x:
-                    for gb, cb in y:
-                        key = ga + gb
-                        old = row.get(key)
-                        row[key] = mul(ca, cb) if old is None else fma(old, ca, cb)
+        out = factors[0]
+        if len(factors) == 1:
+            return [dict(x) for x in out]
+        for ys in factors[1:]:
+            xs, out = out, [{} for _ in range(len(out) + len(ys) - 1)]
+            for i, x in enumerate(xs):
+                if type(x) is dict:  # a row of the running product
+                    x = x.items()
+                for j, y in enumerate(ys, i):
+                    row = out[j]
+                    for ga, ca in x:
+                        for gb, cb in y:
+                            key = ga + gb
+                            old = row.get(key)
+                            row[key] = mul(ca, cb) if old is None else fma(old, ca, cb)
         return out
 
 
-def _int_keys(elems):
-    """The common denominator ``d`` of the exponents of Puiseux elements,
-    and each element's terms with exponents scaled by ``d`` to ints."""
+def _int_keys(*groups):
+    """The common denominator ``d`` of the exponents of groups of Puiseux
+    elements, and each group's elements as their terms with exponents
+    scaled by ``d`` to ints."""
     d = 1
-    for x in elems:
-        for g, _ in x:
-            d = lcm(d, g.denominator)
-    return d, [[(g.numerator * (d // g.denominator), c) for g, c in x] for x in elems]
+    for elems in groups:
+        for x in elems:
+            for g, _ in x:
+                d = lcm(d, g.denominator)
+    return d, [[[(g.numerator * (d // g.denominator), c) for g, c in x] for x in elems]
+               for elems in groups]
 
 
 def _from_int_keys(rows, d, is_zero) -> list:
@@ -287,19 +300,23 @@ class Rationals(_BaseKernels):
             out.append(Fraction(acc, scale))
         return out
 
-    def mul_coeffs(self, xs, ys) -> list:
-        """The schoolbook product of ``Lx*x`` and ``Ly*y`` on ints, with
-        each output coefficient divided by ``Lx*Ly`` once."""
-        lx = lcm(*[c.denominator for c in xs])
-        ly = lcm(*[c.denominator for c in ys])
-        xs = [c.numerator * (lx // c.denominator) for c in xs]
-        ys = [c.numerator * (ly // c.denominator) for c in ys]
-        out = [0] * (len(xs) + len(ys) - 1)
-        for i, x in enumerate(xs):
-            if x:
-                for j, y in enumerate(ys, i):
-                    out[j] += x * y
-        den = lx * ly
+    def mul_coeffs(self, *factors) -> list:
+        """The schoolbook product of one or more factors on ints: each
+        factor ``x`` enters as ``Lx*x``, ``Lx`` the lcm of its denominators,
+        and each output coefficient is divided once by the product of the lcms."""
+        den, out = 1, None
+        for factor in factors:
+            lx = lcm(*[c.denominator for c in factor])
+            den *= lx
+            ys = [c.numerator * (lx // c.denominator) for c in factor]
+            if out is None:
+                out = ys
+                continue
+            xs, out = out, [0] * (len(out) + len(ys) - 1)
+            for i, x in enumerate(xs):
+                if x:
+                    for j, y in enumerate(ys, i):
+                        out[j] += x * y
         return [Fraction(z, den) for z in out]
 
     def shift_keyed(self, shift, rows, count) -> list:
@@ -337,25 +354,29 @@ class Rationals(_BaseKernels):
             scale //= D
         return out
 
-    def mul_keyed(self, xs, ys) -> list:
+    def mul_keyed(self, *factors) -> list:
         """:meth:`mul_coeffs` term by term on keyed rows."""
-        lx = lcm(*[c.denominator for x in xs for _, c in x])
-        ly = lcm(*[c.denominator for y in ys for _, c in y])
-        xs = [[(g, c.numerator * (lx // c.denominator)) for g, c in x] for x in xs]
-        ys = [[(g, c.numerator * (ly // c.denominator)) for g, c in y] for y in ys]
-        out = [{} for _ in range(len(xs) + len(ys) - 1)]
-        for i, x in enumerate(xs):
-            if not x:
+        den, xs = 1, None
+        for factor in factors:
+            lx = lcm(*[c.denominator for y in factor for _, c in y])
+            den *= lx
+            ys = [[(g, c.numerator * (lx // c.denominator)) for g, c in y] for y in factor]
+            if xs is None:
+                xs = ys
                 continue
-            for j, y in enumerate(ys, i):
-                row = out[j]
-                get = row.get
-                for ga, ca in x:
-                    for gb, cb in y:
-                        key = ga + gb
-                        row[key] = get(key, 0) + ca * cb
-        den = lx * ly
-        return [{g: Fraction(c, den) for g, c in row.items() if c} for row in out]
+            out = [{} for _ in range(len(xs) + len(ys) - 1)]
+            for i, x in enumerate(xs):
+                if not x:
+                    continue
+                for j, y in enumerate(ys, i):
+                    row = out[j]
+                    get = row.get
+                    for ga, ca in x:
+                        for gb, cb in y:
+                            key = ga + gb
+                            row[key] = get(key, 0) + ca * cb
+            xs = list(map(dict.items, out))
+        return [{g: Fraction(c, den) for g, c in x if c} for x in xs]
 
 
 @record
@@ -504,8 +525,8 @@ class _OverBase:
     def taylor_shift_coeffs(self, coeffs, a, count) -> list:
         return self.base.taylor_shift_coeffs(coeffs, a, count)
 
-    def mul_coeffs(self, xs, ys) -> list:
-        return self.base.mul_coeffs(xs, ys)
+    def mul_coeffs(self, *factors) -> list:
+        return self.base.mul_coeffs(*factors)
 
 
 @record
@@ -655,6 +676,8 @@ class PuiseuxField:
 
     def add(self, x: PuiseuxElem, y: PuiseuxElem) -> PuiseuxElem:
         acc = dict(x)
+        if len(acc) < len(x):  # an exponent repeats in x: fold x in too
+            acc, y = {}, (*x, *y)
         for g, c in y:
             acc[g] = self.base.add(acc.get(g, self.base.zero), c)
         return self._normalize(acc)
@@ -689,20 +712,18 @@ class PuiseuxField:
         """
         if not a or not coeffs:
             return list(coeffs[:count])
-        d, (shift, *rows) = _int_keys((a, *coeffs))
+        d, ([shift], rows) = _int_keys((a,), coeffs)
         work = _term_work(shift, rows, count)
         if work > MAX_TERM_WORK:
             raise DomainError(f"a sweep would need {work} term operations, above {MAX_TERM_WORK}")
         return _from_int_keys(self.base.shift_keyed(shift, rows, count), d, self.base.is_zero)
 
-    def mul_coeffs(self, xs, ys) -> list:
-        """Schoolbook product on the integer keys of
-        :meth:`taylor_shift_coeffs`, run by the base field's
-        ``mul_keyed``; the terms are those of the product through
-        ``add`` and ``mul``."""
-        d, keyed = _int_keys((*xs, *ys))
-        rows = self.base.mul_keyed(keyed[: len(xs)], keyed[len(xs):])
-        return _from_int_keys(rows, d, self.base.is_zero)
+    def mul_coeffs(self, *factors) -> list:
+        """Schoolbook product of one or more factors on the integer keys of
+        :meth:`taylor_shift_coeffs`, one denominator for all, run by the base
+        field's ``mul_keyed``; the terms are those through ``add`` and ``mul``."""
+        d, keyed = _int_keys(*factors)
+        return _from_int_keys(self.base.mul_keyed(*keyed), d, self.base.is_zero)
 
     def trim_center(self, a: PuiseuxElem, r: Magnitude) -> PuiseuxElem:
         """The canonical center of ``E(a, r)``: the terms of ``a`` with

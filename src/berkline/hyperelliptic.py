@@ -22,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List, Tuple, Union
 
-from .errors import DomainError, record
+from .errors import MAX_DEGREE, DomainError, record
 from .exponents import INF, Exponent
 from .fields import ValuedField
 from .line import (
@@ -57,16 +57,15 @@ class BranchData:
         rs = tuple(roots)
         if not rs:
             raise DomainError("at least one root is required")
-        for i in range(len(rs)):
-            for j in range(i + 1, len(rs)):
-                if field.is_zero(field.sub(rs[i], rs[j])):
-                    raise DomainError("roots must be pairwise distinct")
-        lc = field.one if lead is None else lead
+        if len(rs) > MAX_DEGREE:
+            raise DomainError(f"polynomial degree above the limit {MAX_DEGREE}")
+        rs = tuple(field.add(field.zero, r) for r in rs)  # canonical: equal roots, equal forms
+        if len(set(rs)) < len(rs):
+            raise DomainError("roots must be pairwise distinct")
+        lc = field.one if lead is None else field.add(field.zero, lead)
         if field.is_zero(lc):
             raise DomainError("leading coefficient must be nonzero")
-        f = Poly.constant(field, lc)
-        for r in rs:
-            f = f * Poly.make(field, (field.neg(r), field.one))
+        f = Poly.make(field, field.mul_coeffs([lc], *[(field.neg(r), field.one) for r in rs]))
         return BranchData(f, rs, lc, len(rs) % 2 == 1)
 
     @property

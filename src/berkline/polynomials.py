@@ -93,9 +93,9 @@ class Poly(Frozen):
         return Poly(k, tuple(k.neg(c) for c in self.coeffs))
 
     def __mul__(self, other: "Poly") -> "Poly":
-        """Schoolbook product, run by the field's ``mul_coeffs``: over Q on
-        ints, Puiseux fields on integer exponent keys, the others through
-        their own ``add`` and ``mul``.  Either way the result is exact."""
+        """Schoolbook product: the field's ``mul_coeffs`` on two factors (it
+        takes one or more), over Q on ints, Puiseux fields on integer
+        exponent keys, the others through their own ``add`` and ``mul``."""
         k = self.field
         if self.is_zero or other.is_zero:
             return Poly(k, ())

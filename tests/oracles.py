@@ -132,6 +132,17 @@ def horner(k, coeffs, a):
     return acc
 
 
+def pairwise_distinct(k, roots) -> None:
+    """``DomainError`` unless the roots are pairwise distinct, decided by
+    one subtraction per pair: the check ``from_roots`` ran before it
+    compared canonical forms."""
+    rs = tuple(roots)
+    for i in range(len(rs)):
+        for j in range(i + 1, len(rs)):
+            if k.is_zero(k.sub(rs[i], rs[j])):
+                raise DomainError("roots must be pairwise distinct")
+
+
 def schoolbook_product(f, g):
     """``f * g`` from the field's own ``add`` and ``mul``, term by term."""
     k = f.field

@@ -283,6 +283,17 @@ def test_polynomial_degree_above_the_limit_exits_4():
     assert '"exponent": "2"' in out
 
 
+def test_more_roots_than_the_degree_limit_exits_4():
+    # the limit is checked before the distinctness check and the product
+    roots = ",".join(str(i) for i in range(4097))
+    for field in ("padic:5", "puiseux:F5"):
+        start = time.perf_counter()
+        code, out, err = invoke(["hyper", "--field", field, f"--roots={roots}"])
+        assert time.perf_counter() - start < 2.0, field
+        assert (code, out) == (4, ""), field
+        assert err == "precondition violated: polynomial degree above the limit 4096\n"
+
+
 def test_exact_evaluation_beyond_the_bound_exits_4():
     # v**n * f(u/v) would have about 40 million bits: its size is known
     # before Horner's rule runs, and the shift at a disc center builds

@@ -18,6 +18,8 @@ from berkline import (
     Poly,
     PrimeField,
     PuiseuxField,
+    Rationals,
+    TrivialField,
     Type1Point,
     convex_hull,
     cover_skeleton,
@@ -32,8 +34,12 @@ from berkline import (
     tate_cycle_exponent,
 )
 from berkline.hyperelliptic import _roots_below
-from helpers import LSER, Q5, distinct_roots
-from oracles import schoolbook_product
+from helpers import LSER, Q5, distinct_roots, rand_element, rand_fraction
+from oracles import pairwise_distinct, schoolbook_product
+
+_QT = TrivialField(Rationals())
+_F3T = PuiseuxField(PrimeField(3))
+_F5T = PuiseuxField(PrimeField(5))
 
 
 def fin(a, b=0) -> Magnitude:
@@ -64,6 +70,9 @@ def test_branch_data_construction():
         BranchData.from_roots(Q5, [Fraction(0), Fraction(0)])
     with pytest.raises(DomainError):
         BranchData.from_roots(Q5, [Fraction(0)], lead=Fraction(0))
+    # 5 * t^0 over F_5 is zero, though not written in canonical form
+    with pytest.raises(DomainError, match="leading coefficient"):
+        BranchData.from_roots(_F5T, [_F5T.zero], lead=((Fraction(0), 5),))
 
 
 def test_residue_characteristic_two_is_rejected():
@@ -197,16 +206,100 @@ def test_genus_is_conserved_across_configurations():
         assert genus(BranchData.from_roots(field, roots)) == (d - 1) // 2
 
 
+def _roots_and_lead(rng, field, count):
+    """Distinct roots and a leading coefficient, with denominators
+    wherever the field has them."""
+    if field is _QT:
+        pool = sorted({rand_fraction(rng, -60, 60, 7) for _ in range(4 * count)})
+        roots = rng.sample(pool, min(count, len(pool)))
+    else:
+        roots = distinct_roots(rng, field, count)
+    if isinstance(field.residue_field, PrimeField):
+        return roots, field.from_int(rng.choice([1, 2, 4]))
+    c = Fraction(rng.choice([1, 2, -3, 5]), rng.choice([1, 2, 7]))
+    if field is LSER:
+        return roots, LSER.add(LSER.monomial(0, c), LSER.monomial(Fraction(1, 2), c / 3))
+    return roots, c
+
+
 def test_from_roots_is_the_product_of_linear_factors():
     rng = random.Random(149)
-    for field in (LSER, PuiseuxField(PrimeField(3)), Q5):
+    for field, most in ((LSER, 9), (_F3T, 9), (_F5T, 9), (_QT, 12), (Q5, 24)):
         for _ in range(6):
-            roots = distinct_roots(rng, field, rng.randint(1, 9))
-            lead = field.from_int(rng.choice([1, 2, 4]))
+            roots, lead = _roots_and_lead(rng, field, rng.randint(1, most))
             expected = Poly.constant(field, lead)
             for r in roots:
                 expected = schoolbook_product(expected, Poly.make(field, (field.neg(r), field.one)))
             assert BranchData.from_roots(field, roots, lead).f == expected
+
+
+def _respelled(rng, field, x):
+    """``x`` written out of canonical form: an int for an integral
+    Fraction, coefficients off ``[0, p)`` (7 for 2 over F_5), one term
+    split over a repeated exponent, and a zero-coefficient term."""
+    if not isinstance(field, PuiseuxField):
+        return int(x) if x.denominator == 1 and rng.random() < 0.5 else x
+    p = field.base.char
+    terms = []
+    for g, c in x:
+        if g.denominator == 1 and rng.random() < 0.5:
+            g = int(g)
+        if p:
+            c += p * rng.choice([-1, 1, 2])
+        elif c.denominator == 1 and rng.random() < 0.5:
+            c = int(c)
+        if rng.random() < 0.4:
+            part = rng.choice([1, 2, 3])
+            terms += [(g, part), (g, c - part)]
+        else:
+            terms.append((g, c))
+    if rng.random() < 0.4:
+        terms.append((Fraction(rng.randint(-4, 4), rng.randint(1, 3)), 0))
+    return tuple(sorted(terms, key=lambda term: term[0]))
+
+
+def _canonical(field, x) -> bool:
+    """Sorted distinct exponents and nonzero, reduced coefficients."""
+    if not isinstance(field, PuiseuxField):
+        return isinstance(x, Fraction)
+    exps, p = [g for g, _ in x], field.base.char
+    return exps == sorted(set(exps)) and all(c != 0 and (not p or 0 < c < p) for _, c in x)
+
+
+@pytest.mark.parametrize("field", [Q5, _QT, LSER, _F3T, _F5T], ids=lambda k: k.selector)
+def test_distinct_roots_match_the_pairwise_check(field):
+    """``from_roots`` accepts and refuses exactly the root lists that one
+    subtraction per pair does, with the same message, whatever the
+    spelling of the roots; what it accepts is the product of the
+    linear factors, and it keeps the roots in canonical form."""
+    rng = random.Random(151)
+    if field in (Q5, _QT):
+        pool = [Fraction(k, rng.choice([1, 1, 2, 5])) for k in range(-4, 5)]
+    else:
+        pool = [rand_element(rng, field) for _ in range(7)]
+    seen = set()
+    for _ in range(120):
+        roots = [_respelled(rng, field, rng.choice(pool)) for _ in range(rng.randint(1, 6))]
+        try:
+            pairwise_distinct(field, roots)
+            expected = None
+        except DomainError as exc:
+            expected = str(exc)
+        try:
+            bd = BranchData.from_roots(field, roots)
+            got = None
+        except DomainError as exc:
+            got = str(exc)
+        assert got == expected, roots
+        if got is None:
+            product = Poly.constant(field, field.one)
+            for r in roots:
+                product = schoolbook_product(product, Poly.make(field, (field.neg(r), field.one)))
+            assert bd.f == product, roots
+            for r, kept in zip(roots, bd.roots):
+                assert field.is_zero(field.sub(kept, r)) and _canonical(field, kept), r
+        seen.add(got)
+    assert seen == {None, "roots must be pairwise distinct"}
 
 
 def _cluster_genus(field, roots) -> int:

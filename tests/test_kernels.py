@@ -12,6 +12,7 @@ with sympy.
 
 import random
 from fractions import Fraction
+from functools import partial, reduce
 from unittest.mock import patch
 
 import pytest
@@ -97,17 +98,24 @@ def test_shift_matches_generic_sweep(name, data):
 @_SETTINGS
 @given(data=st.data())
 def test_product_matches_schoolbook(name, data):
+    """One call multiplies one to five factors, and gives the fold of
+    the two-factor schoolbook product.  A factor may be its neighbour
+    mirrored, ``f(-T)``: ``f(T) * f(-T)`` is even, so every odd
+    coefficient of that product cancels."""
     field = FIELDS[name]
-    xs = coefficients(field, data, data.draw(_DEGREES))
-    cancelling = data.draw(st.booleans())
-    if cancelling:
-        # f(T) * f(-T) is even: every odd coefficient cancels
-        ys = [field.neg(c) if i % 2 else c for i, c in enumerate(xs)]
-    else:
-        ys = coefficients(field, data, data.draw(_DEGREES))
-    product = field.mul_coeffs(xs, ys)
-    assert product == schoolbook_coeffs(field, xs, ys)
-    if cancelling:
+    count = data.draw(st.sampled_from([2, 2, 1, 3, 4, 5]))
+    degrees = _DEGREES if count <= 2 else st.integers(0, 4)
+    factors = [coefficients(field, data, data.draw(degrees))]
+    cancelling = False
+    while len(factors) < count:
+        cancelling = data.draw(st.booleans())
+        if cancelling:
+            factors.append([field.neg(c) if i % 2 else c for i, c in enumerate(factors[-1])])
+        else:
+            factors.append(coefficients(field, data, data.draw(degrees)))
+    product = field.mul_coeffs(*factors)
+    assert product == reduce(partial(schoolbook_coeffs, field), factors)
+    if count == 2 and cancelling:
         assert all(field.is_zero(c) for c in product[1::2])
 
 
@@ -139,8 +147,8 @@ def test_zero_polynomial_and_zero_shift(name):
 def test_integer_kernels_do_not_touch_fraction_arithmetic(monkeypatch):
     """Over Q the kernels of degree two and up never call the base
     field's ``add``, ``mul`` or ``fma``, whichever ``Rationals``
-    instance the field was built on: shifts, products and evaluation,
-    dense and over Puiseux sums."""
+    instance the field was built on: shifts, products of two and three
+    factors and evaluation, dense and over Puiseux sums."""
     rng = random.Random(3)
     cases = []
     for field in (FIELDS["padic5"], FIELDS["trivialQ"], Rationals()):
@@ -150,6 +158,7 @@ def test_integer_kernels_do_not_touch_fraction_arithmetic(monkeypatch):
         expected = (
             synthetic_shift(field, cs, a),
             schoolbook_coeffs(field, cs, cs),
+            schoolbook_coeffs(field, schoolbook_coeffs(field, cs, cs), cs),
             horner(field, cs, a),
         )
         cases.append((field, cs, a, expected))
@@ -159,6 +168,7 @@ def test_integer_kernels_do_not_touch_fraction_arithmetic(monkeypatch):
     expected_puiseux = (
         synthetic_shift(puiseux, pcs, t),
         schoolbook_coeffs(puiseux, pcs, pcs),
+        schoolbook_coeffs(puiseux, schoolbook_coeffs(puiseux, pcs, pcs), pcs),
         horner(puiseux, pcs, t),
     )
 
@@ -171,12 +181,14 @@ def test_integer_kernels_do_not_touch_fraction_arithmetic(monkeypatch):
         got = (
             field.taylor_shift_coeffs(cs, a, len(cs)),
             field.mul_coeffs(cs, cs),
+            field.mul_coeffs(cs, cs, cs),
             Poly.make(field, cs).evaluate(a),
         )
         assert got == expected
     got = (
         puiseux.taylor_shift_coeffs(pcs, t, len(pcs)),
         puiseux.mul_coeffs(pcs, pcs),
+        puiseux.mul_coeffs(pcs, pcs, pcs),
         Poly.make(puiseux, pcs).evaluate(t),
     )
     assert got == expected_puiseux
@@ -264,7 +276,7 @@ def _work_and_calls(field, cs, a, count):
     """``_term_work`` of a keyed sweep and the number of term operations
     it made: over F_p each is one call of the base field's ``mul`` or
     ``fma``."""
-    _, (shift, *rows) = _int_keys((a, *cs))
+    _, ([shift], rows) = _int_keys((a,), cs)
     calls = []
 
     def counting(method):
