@@ -24,11 +24,12 @@ product of one or more coefficient lists in one call,
 coefficients of ``f(T + a)`` (so ``count = 1`` is ``f(a)``, Horner's
 rule as the first row of the sweep), and ``trim_center`` (the valued
 backends), a center of the same disc with everything of size at most
-the radius removed.  The first two are written once per base field:
-``padic`` and ``trivial`` backends forward them to their base, Puiseux
-fields run them on integer exponent keys through the base's keyed
-kernels, and over Q they run on Python ints with the denominators
-cleared once per factor.
+the radius removed.  The first two are written once for both base
+fields, on Python ints (:class:`_IntKernels`): over Q with the
+denominators cleared once per factor, over F_p reduced mod ``p`` as
+values are stored.  ``padic`` and ``trivial`` backends forward them to
+their base, and Puiseux fields run them on integer exponent keys through
+the base's keyed kernels.
 """
 
 from __future__ import annotations
@@ -45,8 +46,9 @@ from .errors import (
 from .exponents import EXP_ZERO, MAG_ZERO, Exponent, Magnitude, int_magnitude
 
 
-# Sweeps over Q with at most this many coefficients, shifts and evaluation
-# alike, take the direct fold through ``Fraction``: faster there.
+# Shifts and evaluations of at most this many coefficients, dense or keyed,
+# take the direct fold through the base field's ``add`` and ``mul``: faster
+# there than the lift to ints, over Q and F_p alike.
 _DIRECT_FOLD = 2
 
 
@@ -64,84 +66,163 @@ def _check_q_size(lf_bits: int, n: int, A: int, D: int, count: int) -> None:
         check_bits(lf_bits + m * (A.bit_length() + D.bit_length() + 1), "a Taylor shift")
 
 
-class _BaseKernels:
-    """The polynomial kernels of a base field through its own ``add``,
-    ``mul`` and ``fma``; :class:`Rationals` overrides them with integer
-    kernels.
+class _IntKernels:
+    """The polynomial kernels of both base fields, written once on Python
+    ints: the fraction-free sweeps of von zur Gathen and Gerhard, "Fast
+    algorithms for Taylor shifts and certain difference equations"
+    (ISSAC 1997).  A base field supplies ``_lift`` (dense) and
+    ``_lift_rows`` (keyed), its values as ints at one common scale, and
+    ``_lower(z, scale)``, the value of such an int: over Q the scale is
+    the lcm of the denominators, over F_p it is 1 and lowering reduces
+    mod ``p``.  As ``Z -> F_p`` commutes with ``+`` and ``*``, the ints
+    are reduced mod the characteristic (over Q, not at all) as they are
+    stored.
 
     Dense coefficient lists (low degree first) serve polynomials over the
     field itself, and through forwarding over ``padic`` and ``trivial``
-    backends.  Keyed rows serve polynomials over Puiseux sums with this
-    base: each coefficient is a list of ``(int key, base coefficient)``
-    terms, the keys being exponents scaled to integers by
-    :func:`_int_keys`; they come back as dicts from key to coefficient.
-    Products multiply one or more factors in order, from the first.
+    backends.  Keyed rows serve Puiseux sums with this base: each
+    coefficient is a list of ``(int key, base coefficient)`` terms, the
+    keys scaled by :func:`_int_keys`, and comes back as a dict.  Products
+    multiply one or more factors in order, from the first.
     """
 
     def taylor_shift_coeffs(self, coeffs, a, count) -> list:
         """The first ``count`` coefficients of ``f(T + a)``: ``a`` is
         folded into one row at a time, so the cost is ``count`` times the
-        degree with no binomials, and ``count = 1`` is Horner's rule."""
-        cs = list(coeffs)
-        n = len(cs)
-        for i in range(count):
+        degree with no binomials, and ``count = 1`` is Horner's rule.
+
+        With ``L`` the scale of ``f`` and ``a = A/D``,
+        ``F_j = L*D**(n-1-j)*f_j`` are integers, shifting ``F`` by ``A``
+        gives ``G`` and ``g_i = G_i / (L*D**(n-1-i))``; only the first
+        ``count`` are lowered.  Row 0 brings the powers of ``D`` in as it
+        goes, which is Horner's rule homogenised, and keeps its partial
+        sums only when later rows read them.  Over Q :func:`_check_q_size`
+        bounds the size of the numbers first.  Sweeps of at most
+        :data:`_DIRECT_FOLD` coefficients take the direct fold."""
+        n = len(coeffs)
+        if n <= _DIRECT_FOLD:  # f(T + a) = (f_0 + a*f_1) + f_1*T
+            out = list(coeffs[:count])
+            if n == 2 and count:
+                out[0] = self.add(out[0], self.mul(a, coeffs[1]))
+            return out
+        A, D = a.numerator, a.denominator  # over F_p, ``a`` and 1
+        if not A:
+            return list(coeffs[:count])
+        m, lower = self.char, self._lower
+        cs, L = self._lift(coeffs)
+        if not m:
+            _check_q_size(max(c.bit_length() for c in cs), n, A, D, count)
+        acc, power = cs[-1], 1
+        for j in range(n - 2, -1, -1):
+            power *= D
+            acc = cs[j] * power + A * acc
+            if m:
+                acc %= m
+            if count > 1:
+                cs[j] = acc
+        scale = L * power
+        out = [lower(acc, scale)]
+        for i in range(1, count):
+            acc = cs[-1]
             for j in range(n - 2, i - 1, -1):
-                cs[j] = self.fma(cs[j], a, cs[j + 1])
-        return cs[:count]
+                acc = cs[j] + A * acc
+                if m:
+                    acc %= m
+                cs[j] = acc
+            scale //= D
+            out.append(lower(acc, scale))
+        return out
 
     def mul_coeffs(self, *factors) -> list:
-        """Schoolbook product of one or more nonempty coefficient lists."""
-        out, *rest = factors
-        for ys in rest:
-            xs, out = out, [self.zero] * (len(out) + len(ys) - 1)
-            for i, a in enumerate(xs):
-                if self.is_zero(a):
-                    continue
-                for j, b in enumerate(ys, i):
-                    out[j] = self.fma(out[j], a, b)
-        return list(out)
+        """The schoolbook product of one or more nonempty coefficient
+        lists: each factor enters lifted at its own scale, and each output
+        coefficient is lowered once, at the product of the scales."""
+        m = self.char
+        out, den = self._lift(factors[0])
+        for k, factor in enumerate(factors[1:]):
+            ys, scale = self._lift(factor)
+            den *= scale
+            if m and k:  # a running product, before it grows again
+                out = [z % m for z in out]
+            xs, out = out, [0] * (len(out) + len(ys) - 1)
+            for i, x in enumerate(xs):
+                if x:
+                    for j, y in enumerate(ys, i):
+                        out[j] += x * y
+        lower = self._lower
+        return [lower(z, den) for z in out]
 
     def shift_keyed(self, shift, rows, count) -> list:
-        """The first ``count`` rows of the synthetic-division sweep on
-        keyed rows: every fold of the shift into a row is one ``fma`` per
-        pair of terms, and zeros are dropped once per row update."""
-        mul, fma, is_zero = self.mul, self.fma, self.is_zero
-        rows = [dict(row) for row in rows]
+        """:meth:`taylor_shift_coeffs` term by term on keyed rows: one
+        scale lifts every term of the rows, the sweep folds ``D*a`` in
+        with one int product per pair of terms, and zeros (over F_p, after
+        the reduction) are dropped once per row update.  Over Q the same
+        size bound applies, with ``A`` the sum of the numerators of
+        ``D*a``."""
         n = len(rows)
+        if n <= _DIRECT_FOLD:  # (f_0 + a*f_1) + f_1*T, through add and mul
+            out = [dict(row) for row in rows[:count]]
+            if n == 2 and count:
+                add, mul, row = self.add, self.mul, out[0]
+                for ga, ca in shift:
+                    for gs, cs in rows[1]:
+                        key, term = ga + gs, mul(ca, cs)
+                        row[key] = add(row[key], term) if key in row else term
+            return out
+        m = self.char
+        [shift], D = self._lift_rows([shift])
+        rows, L = self._lift_rows(rows)
+        rows = [dict(row) for row in rows]
+        if not m:
+            lf_bits = max(c.bit_length() for row in rows for c in row.values())
+            _check_q_size(lf_bits, n, sum(abs(c) for _, c in shift), D, count)
+        power = 1
         for i in range(count):
             for j in range(n - 2, i - 1, -1):
                 # the last pass reads each row once, so it lets it go
                 src = rows.pop() if i == count - 1 else rows[j + 1]
-                if not src:
-                    continue
                 row = rows[j]
+                if i == 0 and D > 1:  # the powers of D, as in taylor_shift_coeffs
+                    power *= D
+                    row = {g: c * power for g, c in row.items()}
+                get = row.get
                 for ga, ca in shift:
                     for gs, cs in src.items():
                         key = ga + gs
-                        old = row.get(key)
-                        row[key] = mul(ca, cs) if old is None else fma(old, ca, cs)
-                rows[j] = {g: c for g, c in row.items() if not is_zero(c)}
-        return rows[:count]
+                        row[key] = get(key, 0) + ca * cs
+                if m:
+                    rows[j] = {g: c % m for g, c in row.items() if c % m}
+                else:
+                    rows[j] = {g: c for g, c in row.items() if c}
+        out, scale, lower = [], L * power, self._lower
+        for row in rows:
+            out.append({g: lower(c, scale) for g, c in row.items()})
+            scale //= D
+        return out
 
     def mul_keyed(self, *factors) -> list:
-        """Schoolbook product of keyed factors, one ``fma`` per term pair."""
-        mul, fma = self.mul, self.fma
-        out = factors[0]
-        if len(factors) == 1:
-            return [dict(x) for x in out]
-        for ys in factors[1:]:
-            xs, out = out, [{} for _ in range(len(out) + len(ys) - 1)]
+        """:meth:`mul_coeffs` term by term on keyed rows."""
+        m, lift = self.char, self._lift_rows
+        xs, den = lift(factors[0])
+        for k, factor in enumerate(factors[1:]):
+            ys, scale = lift(factor)
+            den *= scale
+            if m and k:  # a running product, before it grows again
+                xs = [[(g, c % m) for g, c in x if c % m] for x in xs]
+            out = [{} for _ in range(len(xs) + len(ys) - 1)]
             for i, x in enumerate(xs):
-                if type(x) is dict:  # a row of the running product
-                    x = x.items()
+                if not x:
+                    continue
                 for j, y in enumerate(ys, i):
                     row = out[j]
+                    get = row.get
                     for ga, ca in x:
                         for gb, cb in y:
                             key = ga + gb
-                            old = row.get(key)
-                            row[key] = mul(ca, cb) if old is None else fma(old, ca, cb)
-        return out
+                            row[key] = get(key, 0) + ca * cb
+            xs = list(map(dict.items, out))
+        lower = self._lower
+        return [{g: lower(c, den) for g, c in x} for x in xs]
 
 
 def _int_keys(*groups):
@@ -195,20 +276,15 @@ def _term_work(shift, rows, count) -> int:
 
 
 @record
-class Rationals(_BaseKernels):
+class Rationals(_IntKernels):
     """The rational numbers as a coefficient or residue field.
 
-    The polynomial kernels run fraction-free (von zur Gathen and
-    Gerhard, *Modern Computer Algebra*, ch. 6; Bareiss 1968): the
-    denominators are cleared once, the sweep runs on Python ints, and
-    each output coefficient is divided once.  Over a Puiseux field with
-    this base the same happens on keyed rows.  Sweeps of degree at most
-    one keep the direct fold (:data:`_DIRECT_FOLD`).
+    The polynomial kernels run fraction-free (:class:`_IntKernels`;
+    Bareiss 1968): the denominators are cleared once, the sweep runs on
+    Python ints, and each output coefficient is divided once.
     """
 
-    @property
-    def char(self) -> int:
-        return 0
+    char = 0
 
     @property
     def name(self) -> str:
@@ -233,10 +309,6 @@ class Rationals(_BaseKernels):
 
     def mul(self, x, y):
         return x * y
-
-    def fma(self, x, y, z):
-        """``x + y*z`` in one call, for inner loops."""
-        return x + y * z
 
     def neg(self, x):
         return -x
@@ -264,123 +336,24 @@ class Rationals(_BaseKernels):
     def parse_element(self, text: str) -> Fraction:
         return read_literal(text, "rational", text)
 
-    # -- integer kernels ------------------------------------------------
+    # -- the integer lift of the kernels --------------------------------
 
-    def taylor_shift_coeffs(self, coeffs, a, count) -> list:
-        """The first ``count`` coefficients of ``f(T + a)`` on ints.  With
-        ``L`` the lcm of the denominators of ``f`` and ``a = A/D``,
-        ``F_j = L*D**(n-1-j)*f_j`` are integers, shifting ``F`` by ``A``
-        gives ``G`` and ``g_i = G_i / (L*D**(n-1-i))``; only the first
-        ``count`` are divided.  Row 0 brings the powers of ``D`` in as it
-        goes, which is Horner's rule homogenised, and keeps its partial
-        sums only when later rows read them.  :func:`_check_q_size` bounds
-        the size of the numbers first."""
-        n = len(coeffs)
-        if n <= _DIRECT_FOLD:
-            return super().taylor_shift_coeffs(coeffs, a, count)
-        A, D = a.numerator, a.denominator
-        if not A:
-            return list(coeffs[:count])
-        L = lcm(*[c.denominator for c in coeffs])
-        cs = [c.numerator * (L // c.denominator) for c in coeffs]
-        _check_q_size(max(c.bit_length() for c in cs), n, A, D, count)
-        acc, power = cs[-1], 1
-        for j in range(n - 2, -1, -1):
-            power *= D
-            acc = cs[j] * power + A * acc
-            if count > 1:
-                cs[j] = acc
-        scale = L * power
-        out = [Fraction(acc, scale)]
-        for i in range(1, count):
-            acc = cs[-1]
-            for j in range(n - 2, i - 1, -1):
-                acc = cs[j] = cs[j] + A * acc
-            scale //= D
-            out.append(Fraction(acc, scale))
-        return out
+    def _lift(self, values):
+        """The ints ``L*c`` of the values ``c``, and ``L``, the lcm of
+        their denominators."""
+        L = lcm(*[c.denominator for c in values])
+        return [c.numerator * (L // c.denominator) for c in values], L
 
-    def mul_coeffs(self, *factors) -> list:
-        """The schoolbook product of one or more factors on ints: each
-        factor ``x`` enters as ``Lx*x``, ``Lx`` the lcm of its denominators,
-        and each output coefficient is divided once by the product of the lcms."""
-        den, out = 1, None
-        for factor in factors:
-            lx = lcm(*[c.denominator for c in factor])
-            den *= lx
-            ys = [c.numerator * (lx // c.denominator) for c in factor]
-            if out is None:
-                out = ys
-                continue
-            xs, out = out, [0] * (len(out) + len(ys) - 1)
-            for i, x in enumerate(xs):
-                if x:
-                    for j, y in enumerate(ys, i):
-                        out[j] += x * y
-        return [Fraction(z, den) for z in out]
-
-    def shift_keyed(self, shift, rows, count) -> list:
-        """:meth:`taylor_shift_coeffs` term by term on keyed rows: the
-        same scaling clears the denominators of every term, and the sweep
-        folds ``D*a`` in with one int product per pair of terms.  The
-        same bound applies, with ``A`` the sum of the numerators of
-        ``D*a``."""
-        n = len(rows)
-        if n <= _DIRECT_FOLD:
-            return super().shift_keyed(shift, rows, count)
-        D = lcm(*[c.denominator for _, c in shift])
+    def _lift_rows(self, rows):
+        """:meth:`_lift` on the terms of keyed rows, one ``L`` for all."""
         L = lcm(*[c.denominator for row in rows for _, c in row])
-        shift = [(g, c.numerator * (D // c.denominator)) for g, c in shift]
-        rows = [{g: c.numerator * (L // c.denominator) for g, c in row} for row in rows]
-        lf_bits = max(c.bit_length() for row in rows for c in row.values())
-        _check_q_size(lf_bits, n, sum(abs(c) for _, c in shift), D, count)
-        power = 1
-        for i in range(count):
-            for j in range(n - 2, i - 1, -1):
-                src = rows.pop() if i == count - 1 else rows[j + 1]
-                row = rows[j]
-                if i == 0:  # the powers of D, as in taylor_shift_coeffs
-                    power *= D
-                    row = {g: c * power for g, c in row.items()}
-                get = row.get
-                for ga, ca in shift:
-                    for gs, cs in src.items():
-                        key = ga + gs
-                        row[key] = get(key, 0) + ca * cs
-                rows[j] = {g: c for g, c in row.items() if c}
-        out, scale = [], L * power
-        for row in rows:
-            out.append({g: Fraction(c, scale) for g, c in row.items()})
-            scale //= D
-        return out
+        return [[(g, c.numerator * (L // c.denominator)) for g, c in row] for row in rows], L
 
-    def mul_keyed(self, *factors) -> list:
-        """:meth:`mul_coeffs` term by term on keyed rows."""
-        den, xs = 1, None
-        for factor in factors:
-            lx = lcm(*[c.denominator for y in factor for _, c in y])
-            den *= lx
-            ys = [[(g, c.numerator * (lx // c.denominator)) for g, c in y] for y in factor]
-            if xs is None:
-                xs = ys
-                continue
-            out = [{} for _ in range(len(xs) + len(ys) - 1)]
-            for i, x in enumerate(xs):
-                if not x:
-                    continue
-                for j, y in enumerate(ys, i):
-                    row = out[j]
-                    get = row.get
-                    for ga, ca in x:
-                        for gb, cb in y:
-                            key = ga + gb
-                            row[key] = get(key, 0) + ca * cb
-            xs = list(map(dict.items, out))
-        return [{g: Fraction(c, den) for g, c in x if c} for x in xs]
+    _lower = staticmethod(Fraction)
 
 
 @record
-class PrimeField(_BaseKernels):
+class PrimeField(_IntKernels):
     """The prime field F_p; elements are ints reduced into [0, p)."""
 
     p: int
@@ -417,10 +390,6 @@ class PrimeField(_BaseKernels):
     def mul(self, x, y):
         return (x * y) % self.p
 
-    def fma(self, x, y, z):
-        """``x + y*z`` in one call, for inner loops."""
-        return (x + y * z) % self.p
-
     def neg(self, x):
         return (-x) % self.p
 
@@ -446,6 +415,17 @@ class PrimeField(_BaseKernels):
 
     def parse_element(self, text: str) -> int:
         return read_literal(text, "prime-field element", text, integer=True) % self.p
+
+    # -- the integer lift of the kernels --------------------------------
+
+    def _lift(self, values):
+        return list(values), 1
+
+    def _lift_rows(self, rows):
+        return rows, 1
+
+    def _lower(self, z, scale):
+        return z % self.p
 
 
 QQ = Rationals()
@@ -704,8 +684,8 @@ class PuiseuxField:
         Every exponent of the coefficients and of ``a`` is scaled by
         their common denominator ``D``, so each row is a dict from int
         to base-field coefficient, and the base field's
-        ``shift_keyed`` runs the sweep: over Q on ints with the
-        denominators cleared, over F_p one ``fma`` per pair of terms.
+        ``shift_keyed`` runs the sweep on ints: over Q with the
+        denominators cleared, over F_p reduced mod ``p``.
         Exponents go back to ``Fraction`` once at the end; the result is
         the same as the generic sweep through ``add`` and ``mul``.  A
         :func:`_term_work` past ``MAX_TERM_WORK`` is refused up front.

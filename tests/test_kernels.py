@@ -1,13 +1,12 @@
 """Differential oracles for the polynomial kernels of the fields.
 
-Over Q the Taylor shift, the product and the evaluation run on Python
-ints with the denominators cleared (dense for ``padic`` and ``trivial``
-coefficients, on integer exponent keys for Puiseux sums); over F_p the
-Puiseux kernels and the dense ``trivial`` ones go through the base
-field's ``fma``.  Evaluation is the first row of the shift.  Every one
-of them must agree term for term with the generic constructions through
-the field's own ``add`` and ``mul``, kept in ``oracles.py``, and over Q
-with sympy.
+The Taylor shift, the product and the evaluation run on Python ints,
+one kernel for both base fields: over Q with the denominators cleared,
+over F_p reduced mod ``p`` (dense for ``padic`` and ``trivial``
+coefficients, on integer exponent keys for Puiseux sums).  Evaluation
+is the first row of the shift.  Every one of them must agree term for
+term with the generic constructions through the field's own ``add`` and
+``mul``, kept in ``oracles.py``, and over Q with sympy.
 """
 
 import random
@@ -50,8 +49,8 @@ _NUMERATORS = st.one_of(st.integers(-60, 60), st.integers(-(10**40), 10**40))
 _RATIONALS = st.builds(Fraction, _NUMERATORS, _DENOMINATORS)
 # Exponents of Puiseux terms, negative ones and several denominators.
 _EXPONENTS = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6))
-# Degrees 0, 1 (the direct fold) and 16 are drawn often; the rest cover
-# the integer sweep in between.
+# Degrees 0, 1 (the direct fold of shifts, dense and keyed) and 16 are
+# drawn often; the rest cover the integer sweep in between.
 _DEGREES = st.one_of(st.sampled_from([0, 1, 16]), st.integers(2, 15))
 
 
@@ -146,7 +145,7 @@ def test_zero_polynomial_and_zero_shift(name):
 
 def test_integer_kernels_do_not_touch_fraction_arithmetic(monkeypatch):
     """Over Q the kernels of degree two and up never call the base
-    field's ``add``, ``mul`` or ``fma``, whichever ``Rationals``
+    field's ``add`` or ``mul``, whichever ``Rationals``
     instance the field was built on: shifts, products of two and three
     factors and evaluation, dense and over Puiseux sums."""
     rng = random.Random(3)
@@ -175,7 +174,7 @@ def test_integer_kernels_do_not_touch_fraction_arithmetic(monkeypatch):
     def refuse(*args):
         raise AssertionError("Fraction arithmetic inside an integer kernel")
 
-    for name in ("add", "mul", "fma"):
+    for name in ("add", "mul"):
         monkeypatch.setattr(Rationals, name, refuse)
     for field, cs, a, expected in cases:
         got = (
@@ -192,6 +191,46 @@ def test_integer_kernels_do_not_touch_fraction_arithmetic(monkeypatch):
         Poly.make(puiseux, pcs).evaluate(t),
     )
     assert got == expected_puiseux
+
+
+def test_integer_kernels_do_not_touch_prime_field_arithmetic(monkeypatch):
+    """The same over F_p: with ``PrimeField.add`` and ``mul`` refusing,
+    dense shifts of degree two and up (``trivial:F7``), keyed ones
+    (``puiseux:F5``), products of two and three factors and evaluation
+    give what the generic constructions gave before the patch."""
+    rng = random.Random(5)
+    trivial = TrivialField(PrimeField(7))
+    puiseux = PuiseuxField(PrimeField(5))
+    t = puiseux.t
+    cases = [
+        (trivial, [trivial.from_int(rng.randint(0, 6)) for _ in range(5)] + [trivial.one],
+         trivial.from_int(3)),
+        (puiseux, [puiseux.add(t, puiseux.from_int(i)) for i in range(1, 5)],
+         puiseux.add(t, puiseux.parse_element("2*t^(1/2)"))),
+    ]
+    expected = [
+        (
+            synthetic_shift(field, cs, a),
+            schoolbook_coeffs(field, cs, cs),
+            schoolbook_coeffs(field, schoolbook_coeffs(field, cs, cs), cs),
+            horner(field, cs, a),
+        )
+        for field, cs, a in cases
+    ]
+
+    def refuse(*args):
+        raise AssertionError("F_p element arithmetic inside an integer kernel")
+
+    for name in ("add", "mul"):
+        monkeypatch.setattr(PrimeField, name, refuse)
+    for (field, cs, a), want in zip(cases, expected):
+        got = (
+            field.taylor_shift_coeffs(cs, a, len(cs)),
+            field.mul_coeffs(cs, cs),
+            field.mul_coeffs(cs, cs, cs),
+            Poly.make(field, cs).evaluate(a),
+        )
+        assert got == want
 
 
 def _sympy_q(sympy, cs):
@@ -274,17 +313,21 @@ _F10007 = PuiseuxField(PrimeField(10007))
 
 def _work_and_calls(field, cs, a, count):
     """``_term_work`` of a keyed sweep and the number of term operations
-    it made: over F_p each is one call of the base field's ``mul`` or
-    ``fma``."""
+    of the same sweep through the field's ``add`` and ``mul``: one base
+    field ``mul`` per pair of terms in ``synthetic_shift`` (the full
+    shift) or ``horner`` (``count = 1``).  The kernel's rows must equal
+    the oracle's."""
     _, ([shift], rows) = _int_keys((a,), cs)
     calls = []
+    mul = PrimeField.mul
 
-    def counting(method):
-        return lambda self, *args: calls.append(1) or method(self, *args)
+    def counting(self, x, y):
+        calls.append(1)
+        return mul(self, x, y)
 
-    with patch.object(PrimeField, "mul", counting(PrimeField.mul)):
-        with patch.object(PrimeField, "fma", counting(PrimeField.fma)):
-            field.base.shift_keyed(shift, rows, count)
+    with patch.object(PrimeField, "mul", counting):
+        expected = [horner(field, cs, a)] if count == 1 else synthetic_shift(field, cs, a)
+    assert field.taylor_shift_coeffs(cs, a, count) == expected
     return _term_work(shift, rows, count), len(calls)
 
 
