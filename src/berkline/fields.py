@@ -18,18 +18,21 @@ Magnitudes come back as :class:`berkline.exponents.Magnitude` values in
 log scale, so ``valuation(p) == rho**1`` for ``PAdicField(p)`` and
 ``valuation(t) == rho**1`` for any Puiseux backend.
 
-Three methods serve the polynomial layer: ``mul_coeffs(*factors)``, the
+Four methods serve the polynomial layer: ``mul_coeffs(*factors)``, the
 product of one or more coefficient lists in one call,
 ``taylor_shift_coeffs(coeffs, a, count)``, the first ``count``
 coefficients of ``f(T + a)`` (so ``count = 1`` is ``f(a)``, Horner's
-rule as the first row of the sweep), and ``trim_center`` (the valued
+rule as the first row of the sweep), ``lowest_terms(coeffs, a)`` (the
+valued backends), the valuation of each coefficient of ``f(T + a)`` and
+on request a lowest term of one, and ``trim_center`` (the valued
 backends), a center of the same disc with everything of size at most
 the radius removed.  The first two are written once for both base
 fields, on Python ints (:class:`_IntKernels`): over Q with the
 denominators cleared once per factor, over F_p reduced mod ``p`` as
 values are stored.  ``padic`` and ``trivial`` backends forward them to
 their base, and Puiseux fields run them on integer exponent keys through
-the base's keyed kernels.
+the base's keyed kernels; their ``lowest_terms`` reads the valuations
+off those int rows and lowers one term of each row it is asked for.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from .errors import (
     MAX_TERM_WORK, PRIME_LIMIT, DomainError, ParseError, _is_prime, _vp, check_bits,
     read_literal, record, split_top,
 )
-from .exponents import EXP_ZERO, MAG_ZERO, Exponent, Magnitude, int_magnitude
+from .exponents import EXP_ZERO, MAG_ZERO, Exponent, Magnitude, _make, int_magnitude
 
 
 # Shifts and evaluations of at most this many coefficients, dense or keyed,
@@ -169,7 +172,19 @@ class _IntKernels:
                         key, term = ga + gs, mul(ca, cs)
                         row[key] = add(row[key], term) if key in row else term
             return out
-        m = self.char
+        rows, scale, D = self._sweep_keyed(shift, rows, count)
+        out, lower = [], self._lower
+        for row in rows:
+            out.append({g: lower(c, scale) for g, c in row.items()})
+            scale //= D
+        return out
+
+    def _sweep_keyed(self, shift, rows, count):
+        """The sweep of :meth:`shift_keyed` on more than
+        :data:`_DIRECT_FOLD` rows, without its lowering: the first
+        ``count`` rows as int dicts with no zero values, the scale of row 0
+        and ``D``; row ``i`` is at scale ``scale // D**i``."""
+        n, m = len(rows), self.char
         [shift], D = self._lift_rows([shift])
         rows, L = self._lift_rows(rows)
         rows = [dict(row) for row in rows]
@@ -194,11 +209,7 @@ class _IntKernels:
                     rows[j] = {g: c % m for g, c in row.items() if c % m}
                 else:
                     rows[j] = {g: c for g, c in row.items() if c}
-        out, scale, lower = [], L * power, self._lower
-        for row in rows:
-            out.append({g: lower(c, scale) for g, c in row.items()})
-            scale //= D
-        return out
+        return rows, L * power, D
 
     def mul_keyed(self, *factors) -> list:
         """:meth:`mul_coeffs` term by term on keyed rows."""
@@ -243,9 +254,20 @@ def _from_int_keys(rows, d, is_zero) -> list:
     dropped; each distinct key becomes a ``Fraction`` once."""
     exps = {g: Fraction(g, d) for g in {g for row in rows for g in row}}
     return [
-        tuple((exps[g], row[g]) for g in sorted(row) if not is_zero(row[g]))
+        tuple([(exps[g], row[g]) for g in sorted(row) if not is_zero(row[g])])
         for row in rows
     ]
+
+
+def _keyed_shift(coeffs, a, count):
+    """``d`` of :func:`_int_keys` and the keyed ``a`` and coefficients of a
+    sweep of ``count`` rows, refused up front when :func:`_term_work` is
+    past ``MAX_TERM_WORK``."""
+    d, ([shift], rows) = _int_keys((a,), coeffs)
+    work = _term_work(shift, rows, count)
+    if work > MAX_TERM_WORK:
+        raise DomainError(f"a sweep would need {work} term operations, above {MAX_TERM_WORK}")
+    return d, shift, rows
 
 
 def _term_work(shift, rows, count) -> int:
@@ -508,6 +530,14 @@ class _OverBase:
     def mul_coeffs(self, *factors) -> list:
         return self.base.mul_coeffs(*factors)
 
+    def lowest_terms(self, coeffs, a):
+        """The valuation exponent of each coefficient of ``g = f(T + a)``
+        (``None`` where it is zero), and ``lowest(i)``: here ``g_i``
+        itself, as the dense rows are lowered whole."""
+        g = self.base.taylor_shift_coeffs(coeffs, a, len(coeffs))
+        is_zero, valuation = self.base.is_zero, self.valuation
+        return [None if is_zero(c) else valuation(c).exponent for c in g], g.__getitem__
+
 
 @record
 class PAdicField(_OverBase):
@@ -663,7 +693,7 @@ class PuiseuxField:
         return self._normalize(acc)
 
     def neg(self, x: PuiseuxElem) -> PuiseuxElem:
-        return tuple((g, self.base.neg(c)) for g, c in x)
+        return tuple([(g, self.base.neg(c)) for g, c in x])
 
     def sub(self, x, y):
         return self.add(x, self.neg(y))
@@ -692,11 +722,36 @@ class PuiseuxField:
         """
         if not a or not coeffs:
             return list(coeffs[:count])
-        d, ([shift], rows) = _int_keys((a,), coeffs)
-        work = _term_work(shift, rows, count)
-        if work > MAX_TERM_WORK:
-            raise DomainError(f"a sweep would need {work} term operations, above {MAX_TERM_WORK}")
+        d, shift, rows = _keyed_shift(coeffs, a, count)
         return _from_int_keys(self.base.shift_keyed(shift, rows, count), d, self.base.is_zero)
+
+    def lowest_terms(self, coeffs, a):
+        """The valuation exponent of each coefficient of ``g = f(T + a)``
+        (``None`` where it is zero), and ``lowest(i)``, the lowest term of
+        ``g_i`` as a monomial: it has the valuation and the leading
+        coefficient of ``g_i``.
+
+        The sweep is that of :meth:`taylor_shift_coeffs` without its
+        lowering: a row's valuation is its least surviving int key over
+        ``d``, and only the rows that ``lowest`` is asked for bring one
+        term back to ``Fraction`` and the base field.  Unshifted and
+        directly folded coefficients are read as they are.
+        """
+        n = len(coeffs)
+        if not a or n <= _DIRECT_FOLD:
+            g = self.taylor_shift_coeffs(coeffs, a, n)
+            vals = [_make(x[0][0].numerator, 0, x[0][0].denominator) if x else None for x in g]
+            return vals, lambda i: g[i][:1]
+        d, shift, rows = _keyed_shift(coeffs, a, n)
+        base = self.base
+        rows, scale, D = base._sweep_keyed(shift, rows, n)
+
+        def lowest(i):
+            row = rows[i]
+            g = min(row)
+            return ((Fraction(g, d), base._lower(row[g], scale // D**i)),)
+
+        return [_make(min(row), 0, d) if row else None for row in rows], lowest
 
     def mul_coeffs(self, *factors) -> list:
         """Schoolbook product of one or more factors on the integer keys of

@@ -59,7 +59,7 @@ class BranchData:
             raise DomainError("at least one root is required")
         if len(rs) > MAX_DEGREE:
             raise DomainError(f"polynomial degree above the limit {MAX_DEGREE}")
-        rs = tuple(field.add(field.zero, r) for r in rs)  # canonical: equal roots, equal forms
+        rs = tuple([field.add(field.zero, r) for r in rs])  # canonical: equal roots, equal forms
         if len(set(rs)) < len(rs):
             raise DomainError("roots must be pairwise distinct")
         lc = field.one if lead is None else field.add(field.zero, lead)
@@ -96,11 +96,11 @@ def fiber_count(bd: BranchData, x: Point, strict_squares: bool = False):
     if bd.f.field != x.field:
         raise DomainError("cover and point fields differ")
     k = bd.f.field
-    g, e_min, dominant = dominant_terms(bd.f, x.center, x.radius)
+    e_min, dominant, lowest = dominant_terms(bd.f, x.center, x.radius)
 
-    def leading_residue(i):
-        # the residue of g_i over the canonical element of its magnitude
-        c = g.coeffs[i]
+    def leading_residue(c):
+        # the residue of g_i, from its lowest term c, over the canonical
+        # element of its magnitude
         return k.residue_of_quotient(c, k.element_with_valuation(k.valuation(c).exponent))
 
     if t == 3:
@@ -110,7 +110,7 @@ def fiber_count(bd: BranchData, x: Point, strict_squares: bool = False):
             raise DomainError("irrational radius must single out one dominant term")
         if dominant[0] % 2 == 1:
             return 1
-        e_square = k.valuation(g.coeffs[dominant[0]]).exponent
+        e_square = k.valuation(lowest[0]).exponent
     else:
         # Type 2: rescale the variable so the disc becomes the unit disc
         # and divide out the largest term; the residue polynomial is zero
@@ -121,9 +121,9 @@ def fiber_count(bd: BranchData, x: Point, strict_squares: bool = False):
         if k.element_with_valuation(x.radius.exponent) is None:
             raise DomainError("no field element realizes this radius")
         rf = k.residue_field
-        res_coeffs = [rf.zero] * len(g.coeffs)
-        for i in dominant:
-            res_coeffs[i] = leading_residue(i)
+        res_coeffs = [rf.zero] * (dominant[-1] + 1)
+        for i, c in zip(dominant, lowest):
+            res_coeffs[i] = leading_residue(c)
         if not is_constant_times_square(Poly.make(rf, res_coeffs)):
             return 1
         e_square = e_min
@@ -135,7 +135,7 @@ def fiber_count(bd: BranchData, x: Point, strict_squares: bool = False):
     # square is its leading coefficient, that of the last dominant term.
     if k.element_with_valuation(e_square.scale(Fraction(1, 2))) is None:
         return None
-    return 2 if k.residue_field.is_square(leading_residue(dominant[-1])) else None
+    return 2 if k.residue_field.is_square(leading_residue(lowest[-1])) else None
 
 
 # ---------------------------------------------------------------------
@@ -262,9 +262,9 @@ def cover_skeleton(bd: BranchData) -> CoverSkeleton:
 
     total_genus = sum(genera) + betti
 
-    decorated = tuple(
+    decorated = tuple([
         SkeletonVertex(v.id, v.point, v.ptype, genera[v.id]) for v in vertices
-    )
+    ])
     base = SkeletonGraph(decorated, tuple(edges), hull.marked)
     return CoverSkeleton(
         base, tuple(fibers), tuple(split), tuple(genera), betti, total_genus

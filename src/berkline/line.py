@@ -243,7 +243,7 @@ def eval_seminorm(f: Poly, x: Point) -> Magnitude:
     if isinstance(x, Type1Point):
         return x.field.valuation(f.evaluate(x.center))
     center, radius = (x.center, x.radius) if isinstance(x, DiscPoint) else x.discs[-1]
-    return Magnitude(dominant_terms(f, center, radius)[1])
+    return Magnitude(dominant_terms(f, center, radius)[0])
 
 
 def torus_retract(f: Poly, x: Point, t: Magnitude) -> Magnitude:
@@ -513,7 +513,7 @@ def convex_hull(points) -> SkeletonGraph:
     while stack:
         members, parent, enclosing = stack.pop()
         row = dist[members[0]]
-        radius = mag_max(*(row[j] for j in members))
+        radius = mag_max(*[row[j] for j in members])
         own = [j for j in members if dist[j][j] == radius]
         if radius.is_zero:
             point = pts[own[0]]
@@ -540,10 +540,10 @@ def convex_hull(points) -> SkeletonGraph:
 
     order = sorted(range(len(found)), key=lambda i: format_point(found[i][0]))
     new_id = {old: vid for vid, old in enumerate(order)}
-    vertices = tuple(
+    vertices = tuple([
         SkeletonVertex(vid, found[old][0], classify(found[old][0]).type)
         for vid, old in enumerate(order)
-    )
+    ])
     edges = []
     for old, (_, r, parent, _) in enumerate(found):
         if parent is not None:

@@ -90,7 +90,7 @@ class Poly(Frozen):
 
     def __neg__(self) -> "Poly":
         k = self.field
-        return Poly(k, tuple(k.neg(c) for c in self.coeffs))
+        return Poly(k, tuple([k.neg(c) for c in self.coeffs]))
 
     def __mul__(self, other: "Poly") -> "Poly":
         """Schoolbook product: the field's ``mul_coeffs`` on two factors (it
@@ -157,36 +157,42 @@ def disc_expansion(f: Poly, a, r: Magnitude) -> Poly:
 
 
 def dominant_terms(f: Poly, a, r: Magnitude):
-    """``(g, e_min, dominant)`` for ``f`` on the disc ``E(a, r)``: the
-    expansion ``g`` of :func:`disc_expansion`, the least exponent
-    ``e_min = min(v(g_i) + i*e_r)`` (``rho**e_min`` is the Gauss norm
-    ``max |g_i| * r**i``) and the ascending indices that attain it.
+    """``(e_min, dominant, lowest)`` for ``f`` on the disc ``E(a, r)``,
+    with ``g`` the expansion of :func:`disc_expansion`: the least
+    exponent ``e_min = min(v(g_i) + i*e_r)`` (``rho**e_min`` is the Gauss
+    norm ``max |g_i| * r**i``), the ascending indices that attain it, and
+    for each of them a lowest term of ``g_i``, an element with the
+    valuation and the leading residue of ``g_i``.
 
     The largest dominant index is the number of roots in the disc, and
     a type-2 residue polynomial is zero off the dominant indices and the
     leading residue of ``g_i`` on them.  For ``r = 0`` the one dominant
     index is the first nonzero one, the limit of small radii, and
     ``e_min`` is ``None`` unless it is 0; it is ``None`` for ``f = 0``.
+
+    ``g`` itself is not built: the field's ``lowest_terms`` runs the
+    shift by the trimmed center and gives each row's valuation, and only
+    the dominant rows are lowered, to their lowest term.
     """
     k = f.field
-    g = disc_expansion(f, a, r)
+    vals, lowest = k.lowest_terms(f.coeffs, k.trim_center(a, r))
     if r.is_zero:
-        for i, c in enumerate(g.coeffs):
-            if not k.is_zero(c):
-                return g, (k.valuation(c).exponent if i == 0 else None), (i,)
-        return g, None, ()
+        for i, v in enumerate(vals):
+            if v is not None:
+                return (v if i == 0 else None), (i,), (lowest(i),)
+        return None, (), ()
     e_min, dominant = None, []
     e_r = r.exponent
     ie_r = EXP_ZERO  # i*e_r, by one addition per step
-    for i, c in enumerate(g.coeffs):
-        if not k.is_zero(c):
-            e = k.valuation(c).exponent + ie_r
+    for i, v in enumerate(vals):
+        if v is not None:
+            e = v + ie_r
             if e_min is None or e < e_min:
                 e_min, dominant = e, [i]
             elif e == e_min:
                 dominant.append(i)
         ie_r = ie_r + e_r
-    return g, e_min, tuple(dominant)
+    return e_min, tuple(dominant), tuple([lowest(i) for i in dominant])
 
 
 def derivative(f: Poly) -> Poly:
@@ -276,7 +282,7 @@ def count_roots_in_disc(f: Poly, a, r: Magnitude) -> int:
     """
     if f.is_zero:
         raise DomainError("the zero polynomial has no root data")
-    return dominant_terms(f, a, r)[2][-1]
+    return dominant_terms(f, a, r)[1][-1]
 
 
 # ---------------------------------------------------------------------

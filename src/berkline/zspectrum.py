@@ -331,7 +331,7 @@ def zpoint_limit_check(
             if not b <= a:
                 monotone = False
         worst = max(worst, abs(values[-1].to_float() - 1.0))
-    return LimitReport(tuple(rs), tuple(int(m) for m in samples), monotone, worst)
+    return LimitReport(tuple(rs), tuple([int(m) for m in samples]), monotone, worst)
 
 
 # ---------------------------------------------------------------------

@@ -28,6 +28,7 @@ from berkline import (
 from berkline.errors import ParseError
 from berkline.fields import PAdicField, PuiseuxField
 from berkline.line import _anchor, _radius_exponent_or_inf
+from berkline.exponents import EXP_ZERO
 from berkline.polynomials import disc_expansion
 
 
@@ -354,6 +355,33 @@ def old_halvable_exponent(field, e) -> bool:
     if isinstance(field, PAdicField):
         return e.is_rational() and e.a.denominator == 1 and e.a.numerator % 2 == 0
     return e == Exponent(0)
+
+
+def reference_dominant_terms(f: Poly, a, r):
+    """``(g, e_min, dominant)`` from the whole expansion ``g`` of
+    :func:`disc_expansion`: every coefficient exact, every valuation read
+    off it.  ``polynomials.dominant_terms`` gives the same ``e_min`` and
+    indices, and in place of ``g`` a lowest term of each dominant
+    ``g_i``."""
+    k = f.field
+    g = disc_expansion(f, a, r)
+    if r.is_zero:
+        for i, c in enumerate(g.coeffs):
+            if not k.is_zero(c):
+                return g, (k.valuation(c).exponent if i == 0 else None), (i,)
+        return g, None, ()
+    e_min, dominant = None, []
+    e_r = r.exponent
+    ie_r = EXP_ZERO  # i*e_r, by one addition per step
+    for i, c in enumerate(g.coeffs):
+        if not k.is_zero(c):
+            e = k.valuation(c).exponent + ie_r
+            if e_min is None or e < e_min:
+                e_min, dominant = e, [i]
+            elif e == e_min:
+                dominant.append(i)
+        ie_r = ie_r + e_r
+    return g, e_min, tuple(dominant)
 
 
 def _reference_term_exponents(f: Poly, x: DiscPoint):

@@ -12,7 +12,6 @@ from fractions import Fraction
 
 import pytest
 
-import berkline.polynomials as polynomials
 from berkline import (
     BranchData,
     DiscPoint,
@@ -26,6 +25,7 @@ from berkline import (
     newton_slopes,
     taylor_shift,
 )
+from berkline.fields import PuiseuxField, _OverBase
 from helpers import BACKENDS, LSER, Q5, distinct_roots, rand_element, rand_poly, rand_radius
 
 
@@ -55,18 +55,19 @@ def _small(rng, field, r: Magnitude):
     return d
 
 
-def _untrimmed(monkeypatch):
+def _untrimmed(monkeypatch, field):
     """From here on, expand by the whole center instead of the trimmed
-    one.  Every disc query reads its expansion through
-    ``polynomials.disc_expansion``, so patching it there reaches all of
-    them; the returned list records one entry per expansion."""
+    one.  Every disc query (and ``polynomials.disc_expansion``) takes
+    its center from the field's ``trim_center``, so making that the
+    identity reaches all of them; the returned list records one entry
+    per expansion."""
     calls = []
 
-    def full_expansion(f, a, r):
+    def whole_center(self, a, r):
         calls.append(a)
-        return f if f.field.is_zero(a) else taylor_shift(f, a)
+        return a
 
-    monkeypatch.setattr(polynomials, "disc_expansion", full_expansion)
+    monkeypatch.setattr(type(field), "trim_center", whole_center)
     return calls
 
 
@@ -101,7 +102,7 @@ def test_seminorm_and_root_count_depend_on_the_disc_alone(field, monkeypatch):
         for f, a, b, r in rows
         for c in (a, b)
     ]
-    calls = _untrimmed(monkeypatch)
+    calls = _untrimmed(monkeypatch, field)
     full = [
         (eval_seminorm(f, DiscPoint(field, c, r)), count_roots_in_disc(f, c, r))
         for f, a, b, r in rows
@@ -134,21 +135,24 @@ def test_fiber_count_depends_on_the_disc_alone(field, monkeypatch):
 
     trimmed = answers()
     assert sum(1 for v in trimmed if v in (1, 2)) >= 40
-    calls = _untrimmed(monkeypatch)
+    calls = _untrimmed(monkeypatch, field)
     assert answers() == trimmed
     assert len(calls) == len(trimmed)
     assert trimmed[0::4] == trimmed[2::4] and trimmed[1::4] == trimmed[3::4]
 
 
 def _count_shifts(monkeypatch):
+    """Record the center of every shift a disc query runs.  Each one
+    reads its expansion through the field's ``lowest_terms``, which
+    shifts exactly when the center it is given is nonzero."""
     calls = []
-    real = polynomials.taylor_shift
+    for cls in (_OverBase, PuiseuxField):
+        def counted(self, coeffs, a, real=cls.lowest_terms):
+            if not self.is_zero(a):
+                calls.append(a)
+            return real(self, coeffs, a)
 
-    def counted(f, a):
-        calls.append(a)
-        return real(f, a)
-
-    monkeypatch.setattr(polynomials, "taylor_shift", counted)
+        monkeypatch.setattr(cls, "lowest_terms", counted)
     return calls
 
 

@@ -1,19 +1,23 @@
 """The dominant terms of a disc expansion against the readings they replaced.
 
 :func:`berkline.polynomials.dominant_terms` is the one reader of an
-expansion on a disc.  The root count is checked against the Newton
-polygon of the full shift, and the fiber count against the term-list
-reading with its residue loop, kept in ``oracles.reference_fiber_count``;
-refusals must agree by message.
+expansion on a disc.  It is checked against the whole expansion
+(``oracles.reference_dominant_terms``), the root count against the
+Newton polygon of the full shift, and the fiber count against the
+term-list reading with its residue loop, kept in
+``oracles.reference_fiber_count``; refusals must agree by message.
 """
 
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from berkline import (
     BranchData,
+    PAdicField,
+    PuiseuxField,
     DiscPoint,
     DomainError,
     Exponent,
@@ -29,7 +33,7 @@ from berkline import (
 )
 from berkline.polynomials import dominant_terms
 from helpers import rand_element, rand_fraction
-from oracles import reference_fiber_count
+from oracles import reference_dominant_terms, reference_fiber_count
 
 SELECTORS = ("padic:5", "padic:3", "puiseux:Q", "puiseux:F3", "puiseux:F5", "trivial:Q")
 
@@ -72,18 +76,129 @@ def _outcome(fn, *args, **kwargs):
         return ("refused", str(exc))
 
 
+@st.composite
+def _exponent(draw):
+    """Negative, zero and positive, with denominators up to 11."""
+    return Fraction(draw(st.integers(-12, 15)), draw(st.sampled_from((1, 1, 2, 3, 7, 11))))
+
+
+@st.composite
+def _base_element(draw, base):
+    if base.char:
+        return base.from_int(draw(st.integers(0, base.char - 1)))
+    return Fraction(draw(st.integers(-9, 9)), draw(st.sampled_from((1, 2, 3, 4, 25))))
+
+
+@st.composite
+def _field_element(draw, field):
+    if isinstance(field, PAdicField):
+        unit = Fraction(draw(st.integers(-40, 40)), draw(st.sampled_from((1, 2, 3, 7))))
+        return unit * Fraction(field.p) ** draw(st.integers(-3, 3))
+    if isinstance(field, TrivialField):
+        return draw(_base_element(field.base))
+    x = field.zero
+    for g in draw(st.lists(_exponent(), max_size=3)):
+        x = field.add(x, field.monomial(g, draw(_base_element(field.base))))
+    return x
+
+
+@st.composite
+def _radius_of(draw):
+    """Zero, rational (integer or not) or irrational."""
+    kind = draw(st.integers(0, 3))
+    if kind == 0:
+        return Magnitude.zero()
+    a = draw(_exponent())
+    if kind == 1:
+        return Magnitude.finite(Exponent(a))
+    b = Fraction(draw(st.sampled_from((-3, -1, 1, 2))), draw(st.sampled_from((1, 2, 3))))
+    return Magnitude.finite(Exponent(a, b))
+
+
+@st.composite
+def _disc_case(draw, field):
+    """``(f, a, r)``: ``f`` zero, of degree 0 to 7, or with roots at the
+    center (of multiplicity up to 3) times a random factor."""
+    a = draw(_field_element(field))
+    kind = draw(st.integers(0, 4))
+    if kind == 0:
+        return Poly.make(field, []), a, draw(_radius_of())
+    coeffs = [draw(_field_element(field)) for _ in range(draw(st.integers(0, 7)))]
+    f = Poly.make(field, coeffs + [field.one])
+    if kind == 1:
+        at_center = Poly.make(field, (field.neg(a), field.one))
+        for _ in range(draw(st.integers(1, 3))):
+            f = f * at_center
+    return f, a, draw(_radius_of())
+
+
+def _check_against_the_whole_expansion(f, a, r):
+    k = f.field
+    g, e_min, dominant = reference_dominant_terms(f, a, r)
+    got_e, got_dominant, lowest = dominant_terms(f, a, r)
+    assert (got_e, got_dominant) == (e_min, dominant)
+    assert len(lowest) == len(dominant)
+    for i, low in zip(dominant, lowest):
+        c = g.coeffs[i]
+        v = k.valuation(c)
+        assert k.valuation(low) == v
+        unit = k.element_with_valuation(v.exponent)
+        assert k.residue_of_quotient(low, unit) == k.residue_of_quotient(c, unit)
+
+
+@pytest.mark.parametrize("selector", SELECTORS + ("trivial:F7",))
+@settings(max_examples=60)
+@given(data=st.data())
+def test_dominant_terms_match_the_whole_expansion(selector, data):
+    field = parse_field(selector)
+    _check_against_the_whole_expansion(*data.draw(_disc_case(field)))
+
+
+@pytest.mark.parametrize("selector", SELECTORS + ("trivial:F7",))
+def test_dominant_terms_edge_cases(selector):
+    """``f = 0``, the direct fold (``n <= 2``), ``r = 0``, roots at the
+    center, negative and non-integral center exponents, irrational radii."""
+    field = parse_field(selector)
+    if isinstance(field, PuiseuxField):
+        centers = [field.parse_element(s) for s in ("t^(-3/7)+2*t^(1/11)", "t^(-2)", "3*t^(5/2)-t^(4)")]
+    elif isinstance(field, PAdicField):
+        centers = [Fraction(7, field.p ** 2), Fraction(-3, 4), Fraction(field.p ** 3, 2)]
+    else:
+        centers = [field.from_int(3), field.from_int(-1), field.one]
+    radii = [
+        Magnitude.zero(),
+        Magnitude.finite(Exponent(-1)),
+        Magnitude.finite(Exponent(Fraction(1, 3))),
+        Magnitude.finite(Exponent(Fraction(-1, 2), Fraction(1, 3))),
+        Magnitude.finite(Exponent(0, 1)),
+    ]
+    for a in centers:
+        at_a = Poly.make(field, (field.neg(a), field.one))
+        shapes = [
+            Poly.make(field, []),
+            Poly.constant(field, a),
+            at_a,
+            Poly.make(field, (field.one, a)),
+            at_a * at_a * Poly.make(field, (field.one, field.zero, a)),
+            at_a * Poly.make(field, [a, field.one, a, a, field.one]),
+        ]
+        for f in shapes:
+            for r in radii:
+                _check_against_the_whole_expansion(f, a, r)
+
+
 def test_dominant_terms_frozen():
     q5 = parse_field("padic:5")
     f = parse_poly(q5, "T^2 - 5")
     half = Magnitude.finite(Exponent(Fraction(1, 2)))
-    assert dominant_terms(f, Fraction(0), half) == (f, Exponent(1), (0, 2))
-    assert dominant_terms(f, Fraction(0), Magnitude.unit()) == (f, Exponent(0), (2,))
-    assert dominant_terms(f, Fraction(0), Magnitude.finite(Exponent(1)))[1:] == (Exponent(1), (0,))
+    assert dominant_terms(f, Fraction(0), half) == (Exponent(1), (0, 2), (Fraction(-5), Fraction(1)))
+    assert dominant_terms(f, Fraction(0), Magnitude.unit()) == (Exponent(0), (2,), (Fraction(1),))
+    assert dominant_terms(f, Fraction(0), Magnitude.finite(Exponent(1)))[:2] == (Exponent(1), (0,))
     # radius zero: the order of f at the center, and |f(a)| when it is zero
     g = parse_poly(q5, "T^3 - 2*T^2")
-    assert dominant_terms(g, Fraction(0), Magnitude.zero())[1:] == (None, (2,))
-    assert dominant_terms(g, Fraction(1), Magnitude.zero())[1:] == (Exponent(0), (0,))
-    assert dominant_terms(Poly.make(q5, []), Fraction(0), half)[1:] == (None, ())
+    assert dominant_terms(g, Fraction(0), Magnitude.zero())[:2] == (None, (2,))
+    assert dominant_terms(g, Fraction(1), Magnitude.zero())[:2] == (Exponent(0), (0,))
+    assert dominant_terms(Poly.make(q5, []), Fraction(0), half)[:2] == (None, ())
 
 
 @pytest.mark.parametrize("selector", SELECTORS)
