@@ -30,9 +30,11 @@ the radius removed.  The first two are written once for both base
 fields, on Python ints (:class:`_IntKernels`): over Q with the
 denominators cleared once per factor, over F_p reduced mod ``p`` as
 values are stored.  ``padic`` and ``trivial`` backends forward them to
-their base, and Puiseux fields run them on integer exponent keys through
-the base's keyed kernels; their ``lowest_terms`` reads the valuations
-off those int rows and lowers one term of each row it is asked for.
+their base.  Puiseux fields run them on integer exponent keys through
+the base's keyed kernels, which return int rows and their scale;
+:func:`_from_int_keys` lowers those rows to elements, and
+``lowest_terms`` reads the valuations off them and lowers one term of
+each row it is asked for.
 """
 
 from __future__ import annotations
@@ -49,9 +51,9 @@ from .errors import (
 from .exponents import EXP_ZERO, MAG_ZERO, Exponent, Magnitude, _make, int_magnitude
 
 
-# Shifts and evaluations of at most this many coefficients, dense or keyed,
-# take the direct fold through the base field's ``add`` and ``mul``: faster
-# there than the lift to ints, over Q and F_p alike.
+# Dense shifts and evaluations of at most this many coefficients take the
+# direct fold through the base field's ``add`` and ``mul``: faster there
+# than the lift to ints, over Q and F_p alike.
 _DIRECT_FOLD = 2
 
 
@@ -85,7 +87,8 @@ class _IntKernels:
     field itself, and through forwarding over ``padic`` and ``trivial``
     backends.  Keyed rows serve Puiseux sums with this base: each
     coefficient is a list of ``(int key, base coefficient)`` terms, the
-    keys scaled by :func:`_int_keys`, and comes back as a dict.  Products
+    keys scaled by :func:`_int_keys`, and comes back as a dict of int
+    values, not lowered, with the scale to lower it at.  Products
     multiply one or more factors in order, from the first.
     """
 
@@ -155,35 +158,20 @@ class _IntKernels:
         lower = self._lower
         return [lower(z, den) for z in out]
 
-    def shift_keyed(self, shift, rows, count) -> list:
-        """:meth:`taylor_shift_coeffs` term by term on keyed rows: one
-        scale lifts every term of the rows, the sweep folds ``D*a`` in
-        with one int product per pair of terms, and zeros (over F_p, after
-        the reduction) are dropped once per row update.  Over Q the same
-        size bound applies, with ``A`` the sum of the numerators of
-        ``D*a``."""
-        n = len(rows)
-        if n <= _DIRECT_FOLD:  # (f_0 + a*f_1) + f_1*T, through add and mul
-            out = [dict(row) for row in rows[:count]]
-            if n == 2 and count:
-                add, mul, row = self.add, self.mul, out[0]
-                for ga, ca in shift:
-                    for gs, cs in rows[1]:
-                        key, term = ga + gs, mul(ca, cs)
-                        row[key] = add(row[key], term) if key in row else term
-            return out
-        rows, scale, D = self._sweep_keyed(shift, rows, count)
-        out, lower = [], self._lower
-        for row in rows:
-            out.append({g: lower(c, scale) for g, c in row.items()})
-            scale //= D
-        return out
+    def shift_keyed(self, shift, rows, count):
+        """:meth:`taylor_shift_coeffs` term by term on keyed rows, without
+        the lowering: one scale lifts every term of the rows, the sweep
+        folds ``D*a`` in with one int product per pair of terms, and zeros
+        (over F_p, after the reduction) are dropped once per row update.
+        A fold from an empty row adds nothing and is skipped, so over F_p,
+        where most rows of a full sweep vanish (Lucas' theorem on the
+        binomials), the sweep costs only its nonzero rows.  Over Q the
+        same size bound applies, with ``A`` the sum of the numerators of
+        ``D*a``.
 
-    def _sweep_keyed(self, shift, rows, count):
-        """The sweep of :meth:`shift_keyed` on more than
-        :data:`_DIRECT_FOLD` rows, without its lowering: the first
-        ``count`` rows as int dicts with no zero values, the scale of row 0
-        and ``D``; row ``i`` is at scale ``scale // D**i``."""
+        Returns the first ``count`` rows as int dicts with no zero values,
+        the scale of row 0 and ``D``; row ``i`` is at scale
+        ``scale // D**i``."""
         n, m = len(rows), self.char
         [shift], D = self._lift_rows([shift])
         rows, L = self._lift_rows(rows)
@@ -199,10 +187,12 @@ class _IntKernels:
                 row = rows[j]
                 if i == 0 and D > 1:  # the powers of D, as in taylor_shift_coeffs
                     power *= D
-                    row = {g: c * power for g, c in row.items()}
-                get = row.get
+                    row = rows[j] = {g: c * power for g, c in row.items()}
+                if not src:
+                    continue
+                get, terms = row.get, src.items()
                 for ga, ca in shift:
-                    for gs, cs in src.items():
+                    for gs, cs in terms:
                         key = ga + gs
                         row[key] = get(key, 0) + ca * cs
                 if m:
@@ -211,10 +201,13 @@ class _IntKernels:
                     rows[j] = {g: c for g, c in row.items() if c}
         return rows, L * power, D
 
-    def mul_keyed(self, *factors) -> list:
-        """:meth:`mul_coeffs` term by term on keyed rows."""
+    def mul_keyed(self, *factors):
+        """:meth:`mul_coeffs` term by term on keyed rows, without the
+        lowering: the product's rows as int dicts, all at one scale, and
+        that scale."""
         m, lift = self.char, self._lift_rows
         xs, den = lift(factors[0])
+        out = list(map(dict, xs))  # the product of one factor
         for k, factor in enumerate(factors[1:]):
             ys, scale = lift(factor)
             den *= scale
@@ -232,8 +225,7 @@ class _IntKernels:
                             key = ga + gb
                             row[key] = get(key, 0) + ca * cb
             xs = list(map(dict.items, out))
-        lower = self._lower
-        return [{g: lower(c, den) for g, c in x} for x in xs]
+        return out, den
 
 
 def _int_keys(*groups):
@@ -249,25 +241,29 @@ def _int_keys(*groups):
                for elems in groups]
 
 
-def _from_int_keys(rows, d, is_zero) -> list:
-    """Puiseux elements from int-keyed term dicts scaled by ``d``, zeros
-    dropped; each distinct key becomes a ``Fraction`` once."""
-    exps = {g: Fraction(g, d) for g in {g for row in rows for g in row}}
-    return [
-        tuple([(exps[g], row[g]) for g in sorted(row) if not is_zero(row[g])])
-        for row in rows
-    ]
+def _from_int_keys(base, d, rows, scale, D=1) -> list:
+    """Puiseux elements over ``base`` from the int rows of its keyed
+    kernels, keys scaled by ``d`` and row ``i`` at scale ``scale // D**i``:
+    each distinct key becomes a ``Fraction`` once, each value is lowered
+    in the same pass, and zeros are dropped."""
+    exps = {g: Fraction(g, d) for g in set().union(*rows)}
+    lower, out = base._lower, []
+    for row in rows:
+        out.append(tuple([(exps[g], c) for g in sorted(row) if (c := lower(row[g], scale))]))
+        scale //= D
+    return out
 
 
-def _keyed_shift(coeffs, a, count):
-    """``d`` of :func:`_int_keys` and the keyed ``a`` and coefficients of a
-    sweep of ``count`` rows, refused up front when :func:`_term_work` is
-    past ``MAX_TERM_WORK``."""
+def _keyed_shift(base, coeffs, a, count):
+    """The first ``count`` rows of ``f(T + a)`` on int keys: ``d`` of
+    :func:`_int_keys`, then the int rows, the scale of row 0 and ``D``
+    of ``base.shift_keyed``.  The sweep is refused up front when
+    :func:`_term_work` is past ``MAX_TERM_WORK``."""
     d, ([shift], rows) = _int_keys((a,), coeffs)
     work = _term_work(shift, rows, count)
     if work > MAX_TERM_WORK:
         raise DomainError(f"a sweep would need {work} term operations, above {MAX_TERM_WORK}")
-    return d, shift, rows
+    return (d, *base.shift_keyed(shift, rows, count))
 
 
 def _term_work(shift, rows, count) -> int:
@@ -712,18 +708,18 @@ class PuiseuxField:
         exponent keys.
 
         Every exponent of the coefficients and of ``a`` is scaled by
-        their common denominator ``D``, so each row is a dict from int
-        to base-field coefficient, and the base field's
+        their common denominator ``d`` to an int, and the base field's
         ``shift_keyed`` runs the sweep on ints: over Q with the
         denominators cleared, over F_p reduced mod ``p``.
-        Exponents go back to ``Fraction`` once at the end; the result is
-        the same as the generic sweep through ``add`` and ``mul``.  A
-        :func:`_term_work` past ``MAX_TERM_WORK`` is refused up front.
+        :func:`_from_int_keys` then turns the keys back into ``Fraction``
+        and lowers the values, in one pass; the result is that of the
+        generic sweep through ``add`` and ``mul``.  A :func:`_term_work`
+        past ``MAX_TERM_WORK`` is refused up front.  A constant, or a
+        shift by zero, comes back as it is.
         """
-        if not a or not coeffs:
+        if not a or len(coeffs) < 2:
             return list(coeffs[:count])
-        d, shift, rows = _keyed_shift(coeffs, a, count)
-        return _from_int_keys(self.base.shift_keyed(shift, rows, count), d, self.base.is_zero)
+        return _from_int_keys(self.base, *_keyed_shift(self.base, coeffs, a, count))
 
     def lowest_terms(self, coeffs, a):
         """The valuation exponent of each coefficient of ``g = f(T + a)``
@@ -731,25 +727,22 @@ class PuiseuxField:
         ``g_i`` as a monomial: it has the valuation and the leading
         coefficient of ``g_i``.
 
-        The sweep is that of :meth:`taylor_shift_coeffs` without its
-        lowering: a row's valuation is its least surviving int key over
-        ``d``, and only the rows that ``lowest`` is asked for bring one
-        term back to ``Fraction`` and the base field.  Unshifted and
-        directly folded coefficients are read as they are.
+        The sweep is the one of :meth:`taylor_shift_coeffs`, read before
+        it is lowered: a row's valuation is its least int key over ``d``,
+        and only the rows that ``lowest`` is asked for bring that one term
+        through :func:`_from_int_keys`.  Unshifted coefficients (a shift
+        by zero, or of a constant) are read as they are.
         """
-        n = len(coeffs)
-        if not a or n <= _DIRECT_FOLD:
-            g = self.taylor_shift_coeffs(coeffs, a, n)
-            vals = [_make(x[0][0].numerator, 0, x[0][0].denominator) if x else None for x in g]
-            return vals, lambda i: g[i][:1]
-        d, shift, rows = _keyed_shift(coeffs, a, n)
+        if not a or len(coeffs) < 2:
+            vals = [_make(x[0][0].numerator, 0, x[0][0].denominator) if x else None for x in coeffs]
+            return vals, lambda i: coeffs[i][:1]
         base = self.base
-        rows, scale, D = base._sweep_keyed(shift, rows, n)
+        d, rows, scale, D = _keyed_shift(base, coeffs, a, len(coeffs))
 
         def lowest(i):
             row = rows[i]
             g = min(row)
-            return ((Fraction(g, d), base._lower(row[g], scale // D**i)),)
+            return _from_int_keys(base, d, [{g: row[g]}], scale // D**i)[0]
 
         return [_make(min(row), 0, d) if row else None for row in rows], lowest
 
@@ -758,7 +751,7 @@ class PuiseuxField:
         :meth:`taylor_shift_coeffs`, one denominator for all, run by the base
         field's ``mul_keyed``; the terms are those through ``add`` and ``mul``."""
         d, keyed = _int_keys(*factors)
-        return _from_int_keys(self.base.mul_keyed(*keyed), d, self.base.is_zero)
+        return _from_int_keys(self.base, d, *self.base.mul_keyed(*keyed))
 
     def trim_center(self, a: PuiseuxElem, r: Magnitude) -> PuiseuxElem:
         """The canonical center of ``E(a, r)``: the terms of ``a`` with

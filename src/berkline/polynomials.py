@@ -94,8 +94,8 @@ class Poly(Frozen):
 
     def __mul__(self, other: "Poly") -> "Poly":
         """Schoolbook product: the field's ``mul_coeffs`` on two factors (it
-        takes one or more), over Q on ints, Puiseux fields on integer
-        exponent keys, the others through their own ``add`` and ``mul``."""
+        takes one or more), on the Python ints of its base field, Q or F_p;
+        Puiseux fields run it on integer exponent keys."""
         k = self.field
         if self.is_zero or other.is_zero:
             return Poly(k, ())
@@ -131,9 +131,10 @@ def taylor_shift(f: Poly, a) -> Poly:
     The field runs the classic synthetic-division sweep (von zur Gathen
     and Gerhard, *Modern Computer Algebra*, ch. 10): ``a`` is folded in
     one row at a time, so the cost is quadratic in the degree with no
-    binomials, and row 0 alone is :meth:`Poly.evaluate`.  Over Q it runs
-    on ints with the denominators cleared, Puiseux fields on integer
-    exponent keys, and the others through their own ``add`` and ``mul``.
+    binomials, and row 0 alone is :meth:`Poly.evaluate`.  It runs on the
+    Python ints of the base field, over Q with the denominators cleared
+    and over F_p reduced mod ``p``; Puiseux fields run it on integer
+    exponent keys.
     Callers that only need ``f`` on a disc ``E(a, r)`` should use
     :func:`disc_expansion`, which shifts by a trimmed center.
     """

@@ -133,6 +133,47 @@ def horner(k, coeffs, a):
     return acc
 
 
+def sympy_puiseux(k, factors, a) -> list:
+    """The coefficients of ``f_1(T + a) * ... * f_m(T + a)``, low degree
+    first, for coefficient lists ``f_i`` over the Puiseux field ``k``,
+    computed by sympy rather than by the library's arithmetic: ``t`` is
+    a positive symbol, each exponent a ``sympy.Rational`` power of it,
+    and the product is expanded and collected by powers of ``T``.  Over
+    F_p the integer coefficients are reduced mod ``p`` afterwards.  With
+    one factor this is the Taylor shift, and its first entry ``f(a)``."""
+    import sympy
+
+    t, T = sympy.Symbol("t", positive=True), sympy.Symbol("T")
+
+    def rational(q):
+        q = Fraction(q)
+        return sympy.Rational(q.numerator, q.denominator)
+
+    def to_sympy(x):
+        return sympy.Add(*[rational(c) * t ** rational(g) for g, c in x])
+
+    def fraction(x):
+        x = sympy.Rational(x)
+        return Fraction(int(x.p), int(x.q))
+
+    def from_sympy(expr):
+        terms = {}
+        for monomial, c in sympy.expand(expr).as_coefficients_dict().items():
+            c = fraction(c) if k.char == 0 else int(c) % k.char
+            if c:
+                terms[fraction(monomial.as_powers_dict().get(t, 0))] = c
+        return tuple(sorted(terms.items()))
+
+    at = T + to_sympy(a)
+    expr = sympy.Integer(1)
+    for f in factors:
+        expr *= sympy.Add(*[to_sympy(c) * at**j for j, c in enumerate(f)])
+    out = [k.zero] * (sum(len(f) - 1 for f in factors) + 1)
+    for power, coeff in sympy.collect(sympy.expand(expr), T, evaluate=False).items():
+        out[sympy.degree(power, T)] = from_sympy(coeff)
+    return out
+
+
 def pairwise_distinct(k, roots) -> None:
     """``DomainError`` unless the roots are pairwise distinct, decided by
     one subtraction per pair: the check ``from_roots`` ran before it

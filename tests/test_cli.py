@@ -4,9 +4,12 @@ import contextlib
 import io
 import json
 import re
+import subprocess
 import sys
 import time
+from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from berkline.cli import run
@@ -342,6 +345,40 @@ def test_puiseux_term_work_beyond_the_bound_exits_4():
         code, out, err = invoke(["eval", "--field", field, "--poly", "T^200+T", f"pt1({center})"])
         assert (code, err) == (0, "")
         assert '"exponent": "1/13"' in out
+
+
+def test_heaviest_inputs_run_within_512_mb():
+    """The heaviest accepted inputs measured, and refusals of the two
+    work bounds, each in a fresh interpreter whose address space alone is
+    limited to 512 MB: each ends with exit 0 or 4 and one line, never a
+    traceback.  The full keyed sweep over F_5 at degree 2048 is the
+    Lucas-sparse case of the keyed kernel."""
+    resource = pytest.importorskip("resource")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    big = "7" * 3000
+    center = "t^(1/7)+t^(1/11)+t^(1/13)"
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+    for argv, want in (
+        (["eval", "--field=puiseux:F5", "--poly=T^2048+T", "disc(2+t; 1)"], 0),
+        (["eval", "--field=puiseux:F5", "--poly=T^4096+T", "pt1(2+t)"], 0),
+        (["eval", "--field=puiseux:Q", "--poly=T^200+T", f"pt1({center})"], 0),
+        (["eval", "--field=padic:5", "--poly=T^1024+T", "disc(1/3; 1)"], 0),
+        (["hyper", "--field=padic:5", "--roots=" + ",".join(map(str, range(1, 301)))], 0),
+        (["eval", "--field=puiseux:F5", "--poly=T^4096+T", f"disc({center}; 2)"], 4),
+        (["eval", "--field=puiseux:Q", f"--poly={big}*T^4096", f"disc(1/{big}; 1)"], 4),
+    ):
+        done = subprocess.run(
+            [sys.executable, "-m", "berkline.cli", *argv],
+            capture_output=True, text=True, env={"PYTHONPATH": src}, preexec_fn=limit,
+        )
+        label = (argv[0], argv[1], argv[-1][:16])
+        assert "Traceback" not in done.stderr, label
+        assert done.returncode == want, (label, done.stderr[-300:])
+        assert (done.stdout if want == 0 else done.stderr).count("\n") == 1, label
+        assert (done.stderr if want == 0 else done.stdout) == "", label
 
 
 def test_strict_squares_column():

@@ -156,8 +156,9 @@ def test_dominant_terms_match_the_whole_expansion(selector, data):
 
 @pytest.mark.parametrize("selector", SELECTORS + ("trivial:F7",))
 def test_dominant_terms_edge_cases(selector):
-    """``f = 0``, the direct fold (``n <= 2``), ``r = 0``, roots at the
-    center, negative and non-integral center exponents, irrational radii."""
+    """``f = 0``, degree at most one (the dense direct fold, two keyed
+    rows), ``r = 0``, roots at the center, negative and non-integral
+    center exponents, irrational radii."""
     field = parse_field(selector)
     if isinstance(field, PuiseuxField):
         centers = [field.parse_element(s) for s in ("t^(-3/7)+2*t^(1/11)", "t^(-2)", "3*t^(5/2)-t^(4)")]

@@ -10,6 +10,7 @@ term with the generic constructions through the field's own ``add`` and
 """
 
 import random
+import sys
 from fractions import Fraction
 from functools import partial, reduce
 from unittest.mock import patch
@@ -20,6 +21,7 @@ from hypothesis import given, settings, strategies as st
 from berkline import (
     DomainError,
     Exponent,
+    Magnitude,
     PAdicField,
     Poly,
     PrimeField,
@@ -29,8 +31,9 @@ from berkline import (
     taylor_shift,
 )
 from berkline.errors import MAX_EXACT_BITS
-from berkline.fields import _int_keys, _term_work
-from oracles import horner, schoolbook_coeffs, synthetic_shift
+from berkline.fields import _IntKernels, _int_keys, _term_work
+from berkline.polynomials import dominant_terms
+from oracles import horner, schoolbook_coeffs, sympy_puiseux, synthetic_shift
 
 # ``Rationals()`` rather than ``QQ``: the integer kernels are chosen by
 # the type of the base field, so any instance of it gets them.
@@ -49,8 +52,9 @@ _NUMERATORS = st.one_of(st.integers(-60, 60), st.integers(-(10**40), 10**40))
 _RATIONALS = st.builds(Fraction, _NUMERATORS, _DENOMINATORS)
 # Exponents of Puiseux terms, negative ones and several denominators.
 _EXPONENTS = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6))
-# Degrees 0, 1 (the direct fold of shifts, dense and keyed) and 16 are
-# drawn often; the rest cover the integer sweep in between.
+# Degrees 0 (a keyed shift of a constant changes nothing), 1 (the direct
+# fold of dense shifts) and 16 are drawn often; the rest cover the
+# integer sweep in between.
 _DEGREES = st.one_of(st.sampled_from([0, 1, 16]), st.integers(2, 15))
 
 
@@ -264,6 +268,49 @@ def test_kernels_match_sympy_over_q():
         assert Poly.make(field, cs).evaluate(a) == Fraction(int(value.p), int(value.q))
 
 
+def _dominant_terms_of(g, r):
+    """``dominant_terms`` read off a whole expansion ``g``, for a zero or
+    rational radius ``r``."""
+    vals = [x[0][0] if x else None for x in g]
+    if r.is_zero:
+        i = next(i for i, v in enumerate(vals) if v is not None)
+        return (Exponent(vals[0]) if i == 0 else None), (i,), (g[i][:1],)
+    e_r = r.exponent.a
+    es = {i: v + i * e_r for i, v in enumerate(vals) if v is not None}
+    e_min = min(es.values())
+    dominant = tuple([i for i in sorted(es) if es[i] == e_min])
+    return Exponent(e_min), dominant, tuple([g[i][:1] for i in dominant])
+
+
+_RADII = st.one_of(
+    st.just(Magnitude.zero()),
+    st.builds(lambda e: Magnitude.finite(Exponent(e)), _EXPONENTS),
+)
+
+
+@pytest.mark.parametrize("name", ["puiseuxQ", "puiseuxF5"])
+@settings(max_examples=12)
+@given(data=st.data())
+def test_puiseux_kernels_match_sympy(name, data):
+    """Puiseux sums against sympy (``oracles.sympy_puiseux``), which
+    shares none of the library's arithmetic: ``taylor_shift``,
+    ``Poly.evaluate`` and ``dominant_terms`` at degrees 0-2, and
+    ``mul_coeffs``, with negative exponents and mixed denominators."""
+    pytest.importorskip("sympy")
+    field = FIELDS["puiseuxQ"] if name == "puiseuxQ" else PuiseuxField(PrimeField(5))
+    cs = coefficients(field, data, data.draw(st.integers(0, 2)))
+    ys = coefficients(field, data, data.draw(st.integers(0, 2)))
+    a, r = element(field, data), data.draw(_RADII)
+    f = Poly.make(field, cs)
+    g = sympy_puiseux(field, [cs], a)
+    assert list(taylor_shift(f, a).coeffs) == g
+    assert f.evaluate(a) == g[0]
+    assert field.mul_coeffs(cs, ys) == sympy_puiseux(field, [cs, ys], field.zero)
+    b = field.trim_center(a, r)
+    expansion = g if b == a else sympy_puiseux(field, [cs], b)
+    assert dominant_terms(f, a, r) == _dominant_terms_of(expansion, r)
+
+
 def test_exact_work_is_bounded():
     """Evaluation and shifts over Q know the size of their numbers before
     they start, and refuse past ``MAX_EXACT_BITS``; so does ``p**e``."""
@@ -329,6 +376,43 @@ def _work_and_calls(field, cs, a, count):
         expected = [horner(field, cs, a)] if count == 1 else synthetic_shift(field, cs, a)
     assert field.taylor_shift_coeffs(cs, a, count) == expected
     return _term_work(shift, rows, count), len(calls)
+
+
+def test_the_keyed_sweep_folds_only_from_nonzero_rows():
+    """Over F_5 many rows of the full shift of ``T^125 + T`` at ``2 + t``
+    vanish, since most binomials ``C(j, i)`` vanish mod 5 (Lucas).  The
+    keyed sweep folds from a row only when it is nonzero: as many folds
+    as there are (pass, row) pairs of ``synthetic_shift`` whose source
+    row is nonzero.  Each fold reads its source row and rebuilds the row
+    it updates, one ``dict.items`` call each, counted with a profile
+    hook on the sweep's own frame."""
+    field = PuiseuxField(PrimeField(5))
+    cs = [field.zero] * 126
+    cs[1] = cs[125] = field.one
+    a = field.parse_element("2+t")
+    nonzero = []
+    mul = PuiseuxField.mul
+
+    def counting(self, x, y):
+        nonzero.append(bool(y))
+        return mul(self, x, y)
+
+    with patch.object(PuiseuxField, "mul", counting):
+        expected = synthetic_shift(field, cs, a)
+    sweep, items = _IntKernels.shift_keyed.__code__, []
+
+    def profile(frame, event, arg):
+        if event == "c_call" and frame.f_code is sweep and getattr(arg, "__name__", "") == "items":
+            items.append(1)
+
+    sys.setprofile(profile)
+    try:
+        got = field.taylor_shift_coeffs(cs, a, len(cs))
+    finally:
+        sys.setprofile(None)
+    assert got == expected
+    assert 0 < sum(nonzero) < len(nonzero)
+    assert len(items) == 2 * sum(nonzero)
 
 
 @_SETTINGS
