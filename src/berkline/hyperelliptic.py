@@ -152,22 +152,6 @@ class CoverSkeleton:
     total_genus: int
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, a: int) -> int:
-        while self.parent[a] != a:
-            self.parent[a] = self.parent[self.parent[a]]
-            a = self.parent[a]
-        return a
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
-
-
 def _roots_below(hull: SkeletonGraph) -> List[int]:
     """Number of marked leaves (the roots) in each vertex's subtree,
     from one pass down the tree and the sums back up."""
@@ -184,40 +168,30 @@ def _roots_below(hull: SkeletonGraph) -> List[int]:
     return below
 
 
-def _doubled_edges(fibers, edges, split):
-    """The doubled graph: ``fibers[v]`` copies of vertex ``v``, and per
-    edge two copies when split and one otherwise.  Returns the number
-    of vertex copies and the edge copies ``(a, b, length)``.
-
-    A split edge maps to ``(us[i % len(us)], vs[i % len(vs)])`` for
-    ``i`` in (0, 1), which wires copies in parallel or fans one copy out
-    to both.  A non-split edge needs single-fiber endpoints, since every
-    edge at a two-fiber vertex is split.
-    """
-    copy_ids = []
-    n = 0
-    for f in fibers:
-        copy_ids.append(range(n, n + f))
-        n += f
-    out = []
-    for e, is_split in zip(edges, split):
-        us, vs = copy_ids[e.u], copy_ids[e.v]
-        if is_split:
-            out += [(us[i % len(us)], vs[i % len(vs)], e.length) for i in (0, 1)]
-        elif len(us) != 1 or len(vs) != 1:
-            raise DomainError("non-split edge at a two-fiber vertex")
-        else:
-            out.append((us[0], vs[0], e.length))
-    return n, out
-
-
 def cover_skeleton(bd: BranchData) -> CoverSkeleton:
     """The hull of the roots, plus a ray to infinity for odd degree,
-    decorated with fiber counts, edge splits and genera.
+    decorated with fiber counts, edge splits and genera, all read off
+    ``below[u]``, the number of roots (marked leaves) under the lower
+    end ``u`` of each edge.
 
-    Every parity below is read off the number of roots under each
-    vertex, which :func:`_roots_below` sums in one pass over the hull:
-    the roots are its marked leaves.
+    * *Parities.*  There is an even number of branch points, so both
+      sides of an edge hold counts of the parity of ``below[u]``.  The
+      edge splits exactly when it is even; a non-split edge gives each
+      of its ends one direction with an odd count.
+    * *Directions.*  So ``m(v)``, the number of directions at ``v`` with
+      an odd count, is the number of non-split edges at ``v``.  The one
+      out of the top of the hull holds ``total - d = 0`` branch points
+      for even degree and is the ray to infinity for odd degree.  Two
+      points lie over ``v`` when ``m(v) = 0``; its genus is
+      ``max(m(v)/2 - 1, 0)``.
+    * *Betti number.*  The doubled graph has two copies of each
+      two-preimage vertex and split edge, one of the rest; a non-split
+      edge has an odd direction at each end, so it joins one-preimage
+      vertices only.  With ``R`` one-preimage vertices and ``N``
+      non-split edges in a tree of ``V`` vertices it has ``2V - R``
+      vertices and ``2(V - 1) - N`` edges.  The roots are one-preimage
+      vertices and each copy of a vertex lifts a path to one of them,
+      so it is connected, with Betti number ``R - N - 1``.
     """
     k = bd.f.field
     hull = convex_hull([Type1Point(k, r) for r in bd.roots])
@@ -230,36 +204,16 @@ def cover_skeleton(bd: BranchData) -> CoverSkeleton:
         inf_id = len(vertices)
         vertices.append(SkeletonVertex(inf_id, None, 1, 0))
         edges.append(SkeletonEdge(apex, inf_id, INF))
-        below.append(bd.degree)
 
-    # m(v) = number of directions at v carrying an odd count of branch
-    # points: one direction per incident edge (the downward ones hold
-    # everything below the child, the upward one holds the rest,
-    # including infinity), plus nothing for branch points sitting at v
-    # itself.
-    total = bd.total_branch_points
+    split = [below[e.u] % 2 == 0 for e in edges]
     m = [0] * len(vertices)
-    has_up = [False] * len(vertices)
-    for e in edges:
-        m[e.v] += below[e.u] % 2
-        m[e.u] += (total - below[e.u]) % 2
-        has_up[e.u] = True
-    for v in vertices:
-        if v.point is not None and not has_up[v.id]:
-            # the top vertex still has an outward direction toward
-            # infinity even when no ray was added
-            m[v.id] += (total - below[v.id]) % 2
+    for e, is_split in zip(edges, split):
+        if not is_split:
+            m[e.u] += 1
+            m[e.v] += 1
     fibers = [2 if x == 0 else 1 for x in m]
     genera = [max(x // 2 - 1, 0) for x in m]
-    split = [below[e.u] % 2 == 0 for e in edges]
-
-    n_copies, doubled_edges = _doubled_edges(fibers, edges, split)
-    uf = _UnionFind(n_copies)
-    for a, b, _ in doubled_edges:
-        uf.union(a, b)
-    components = len({uf.find(i) for i in range(n_copies)})
-    betti = len(doubled_edges) - n_copies + components
-
+    betti = fibers.count(1) - split.count(False) - 1
     total_genus = sum(genera) + betti
 
     decorated = tuple([
@@ -276,35 +230,25 @@ def genus(bd: BranchData) -> int:
 
 
 def tate_cycle_exponent(cs: CoverSkeleton) -> Exponent:
-    """Total length of the unique cycle of the doubled graph.
+    """Total length of the unique cycle of the doubled graph, for
+    betti = 1: twice the length of the split edges.
 
-    Only meaningful when betti = 1; extracted by pruning degree-one
-    vertices of the doubled graph until the cycle remains.
+    The cycle is the set of edges that are not bridges.  Every hull
+    vertex has a root below it, and above every edge lies a root (its
+    upper end has a second child) or infinity.  So both sides of an
+    edge hold one-preimage vertices, and the cover over each side is
+    connected.  A non-split edge's one copy is the only link between
+    them, a bridge; a split edge's two copies both link them, so
+    neither is.  No infinite edge splits: one ends at a root or at
+    infinity, alone on its side.
     """
     if cs.betti != 1:
         raise DomainError("cycle extraction needs first Betti number 1")
-    _, edge_list = _doubled_edges(cs.vertex_fibers, cs.base.edges, cs.edge_split)
-    alive = [True] * len(edge_list)
-    while True:
-        deg = {}
-        for idx, (a, b, _) in enumerate(edge_list):
-            if alive[idx]:
-                deg[a] = deg.get(a, 0) + 1
-                deg[b] = deg.get(b, 0) + 1
-        pruned = False
-        for idx, (a, b, _) in enumerate(edge_list):
-            if alive[idx] and (deg.get(a, 0) == 1 or deg.get(b, 0) == 1):
-                alive[idx] = False
-                pruned = True
-        if not pruned:
-            break
     total = Exponent(0)
-    for idx, (a, b, length) in enumerate(edge_list):
-        if alive[idx]:
-            if length is INF:
-                raise DomainError("unbounded edge on the cycle")
-            total = total + length
-    return total
+    for e, is_split in zip(cs.base.edges, cs.edge_split):
+        if is_split:
+            total = total + e.length
+    return total.scale(2)
 
 
 # ---------------------------------------------------------------------

@@ -441,9 +441,6 @@ class SkeletonGraph:
     def vertex(self, vid: int) -> SkeletonVertex:
         return self.vertices[vid]
 
-    def degree(self, vid: int) -> int:
-        return sum(1 for e in self.edges if vid in (e.u, e.v))
-
     def canonical_key(self):
         labels = {
             v.id: (v.label, v.ptype, v.genus, v.id in self.marked)

@@ -395,7 +395,7 @@ def is_constant_times_square(f: Poly) -> bool:
 # capital T; a lowercase t inside a coefficient belongs to the Puiseux
 # backend.
 
-_TERM_RE = re.compile(r"^(?:(?P<coef>.+)\*)?(?P<neg>-)?T(?:\^(?P<k>\d+))?$")
+_TERM_RE = re.compile(r"^(?:(?P<coef>.+)\*)?T(?:\^(?P<k>\d+))?$")
 
 def _wrap(text: str) -> str:
     """A coefficient's text as the factor of a term: in parentheses when
@@ -460,8 +460,6 @@ def _parse_poly_term(field: ValuedField, term: str, original: str):
     m = _TERM_RE.match(term)
     if m:
         k = _parse_degree(m.group("k"))
-        if m.group("neg"):
-            neg = not neg
         coef_text = m.group("coef")
         c = field.one if coef_text is None else field.parse_element(_unwrap(coef_text, original))
     else:

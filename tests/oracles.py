@@ -18,7 +18,9 @@ from berkline import (
     SkeletonEdge,
     SkeletonGraph,
     SkeletonVertex,
+    Type1Point,
     classify,
+    convex_hull,
     format_point,
     is_constant_times_square,
     join,
@@ -507,3 +509,85 @@ def reference_fiber_count(bd, x, strict_squares: bool = False):
     # the factors are monic, so the constant in front of the square is
     # exactly the leading coefficient
     return 2 if rf.is_square(u.leading_coefficient()) else None
+
+
+def reference_cover_skeleton(bd):
+    """Fibers, splits, genera, Betti number and cycle of a double cover,
+    from its doubled graph built copy by copy.
+
+    The roots under each hull vertex are counted on walks up from each
+    root.  Every direction at a vertex counts toward ``m``: each
+    downward edge with the roots below it, the upward one with the
+    branch points outside, infinity included, also at a top with no ray
+    above it.  A split edge ``(u, v)`` has the copies
+    ``(us[i % len(us)], vs[i % len(vs)])`` for ``i`` in (0, 1), any
+    other edge one copy between the first copies of its ends.  The
+    Betti number comes from a union-find over the copies; when it is 1,
+    edges at degree-one vertices are pruned until none remains, and the
+    cycle is the length of what is left.  Returns
+    ``(fibers, split, genera, betti, cycle)``, with ``cycle`` None
+    unless the Betti number is 1.
+    """
+    k = bd.f.field
+    hull = convex_hull([Type1Point(k, r) for r in bd.roots])
+    up = {e.u: e.v for e in hull.edges}
+    below = [0] * len(hull.vertices)
+    for vid in hull.marked:
+        while vid is not None:
+            below[vid] += 1
+            vid = up.get(vid)
+    edges = [(e.u, e.v, e.length) for e in hull.edges]
+    if bd.infinity_branch:
+        edges.append((below.index(bd.degree), len(below), INF))
+        below.append(bd.degree)
+    n, total = len(below), bd.total_branch_points
+    m, has_up = [0] * n, [False] * n
+    for u, v, _ in edges:
+        m[v] += below[u] % 2
+        m[u] += (total - below[u]) % 2
+        has_up[u] = True
+    for vid in range(len(hull.vertices)):
+        if not has_up[vid]:
+            m[vid] += (total - below[vid]) % 2
+    fibers = [2 if x == 0 else 1 for x in m]
+    genera = [max(x // 2 - 1, 0) for x in m]
+    split = [below[u] % 2 == 0 for u, _, _ in edges]
+
+    copies, n_copies = [], 0
+    for f in fibers:
+        copies.append(range(n_copies, n_copies + f))
+        n_copies += f
+    doubled = []
+    for (u, v, length), is_split in zip(edges, split):
+        us, vs = copies[u], copies[v]
+        doubled += [(us[i % len(us)], vs[i % len(vs)], length) for i in range(1 + is_split)]
+
+    parent = list(range(n_copies))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for a, b, _ in doubled:
+        parent[find(a)] = find(b)
+    betti = len(doubled) - n_copies + len({find(i) for i in range(n_copies)})
+    if betti != 1:
+        return fibers, split, genera, betti, None
+    alive = doubled
+    while True:
+        deg = [0] * n_copies
+        for a, b, _ in alive:
+            deg[a] += 1
+            deg[b] += 1
+        kept = [(a, b, length) for a, b, length in alive if deg[a] > 1 and deg[b] > 1]
+        if len(kept) == len(alive):
+            break
+        alive = kept
+    cycle = Exponent(0)
+    for _, _, length in alive:
+        if length is INF:
+            raise DomainError("unbounded edge on the cycle")
+        cycle = cycle + length
+    return fibers, split, genera, betti, cycle

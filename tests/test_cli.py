@@ -188,6 +188,10 @@ def test_parse_failures_exit_3():
         ["eval", "--field", "padic:5", "--poly", "T+", "pt1(0)"],
         ["classify", "--field", "padic:5", "chain[,(0;0)]"],
         ["shilov", "--field", "padic:5", "--standard", "disc_holes(0; 0; (1;1),)"],
+        ["shilov", "--field", "padic:5", "--standard", "closed_disc(0)"],
+        ["member", "--field", "padic:5", "--standard", "annulus(0)", "pt1(0)"],
+        ["shilov", "--field", "padic:5", "--standard", "disc_holes(0; 0)"],
+        ["shilov", "--field", "padic:5", "--standard", "disc_holes(0; 0; 1)"],
         ["eval", "--field", "padic:5", "--poly", "T-", "pt1(0)"],
         ["member", "--field", "padic:5", f"--domain=|T| <= rho^({digits}) * |1|", "pt1(0)"],
         ["mspecz", "--point", "p:5,r:1/2", "--values", "1,2,"],

@@ -284,6 +284,15 @@ def test_standard_grammar_roundtrip():
         parse_standard_domain(Q5, "annulus(0; 1)")
     with pytest.raises(ParseError):
         parse_standard_domain(Q5, "square(0; 1)")
+    for text, reason in (
+        ("closed_disc(0)", "expected (a; e)"),
+        ("annulus(0)", "expected (a; e_inner, e_outer)"),
+        ("disc_holes(0; 0)", "expected (a; e; (a1; e1), ...)"),
+        ("disc_holes(0; 0; 1)", "bad hole '1'"),
+    ):
+        with pytest.raises(ParseError) as info:
+            parse_standard_domain(Q5, text)
+        assert (info.value.rule, info.value.reason) == ("standard-domain", reason), text
 
 
 def test_membership_over_puiseux():

@@ -35,7 +35,7 @@ from berkline import (
 )
 from berkline.hyperelliptic import _roots_below
 from helpers import LSER, Q5, distinct_roots, rand_element, rand_fraction
-from oracles import pairwise_distinct, schoolbook_product
+from oracles import pairwise_distinct, reference_cover_skeleton, schoolbook_product
 
 _QT = TrivialField(Rationals())
 _F3T = PuiseuxField(PrimeField(3))
@@ -388,6 +388,30 @@ def test_tate_cycle_scales_with_the_modulus():
     flat = cover_skeleton(BranchData.from_roots(Q5, [Fraction(i) for i in range(3)]))
     with pytest.raises(DomainError):
         tate_cycle_exponent(flat)
+
+
+def test_cover_skeleton_matches_the_doubled_graph():
+    """Fibers, splits, genera, Betti number and Tate cycle read off the
+    root parities equal those of the doubled graph built copy by copy;
+    and every edge at a two-preimage vertex splits, so no edge of the
+    doubled graph needs two copies at one end and one at the other."""
+    rng = random.Random(163)
+    cycles = 0
+    for i in range(1000):
+        field = LSER if i % 2 else Q5
+        bd = BranchData.from_roots(field, distinct_roots(rng, field, rng.randint(1, 12)))
+        cs = cover_skeleton(bd)
+        fibers, split, genera, betti, cycle = reference_cover_skeleton(bd)
+        assert cs.vertex_fibers == tuple(fibers), bd.roots
+        assert cs.edge_split == tuple(split), bd.roots
+        assert cs.vertex_genus == tuple(genera), bd.roots
+        assert cs.betti == betti, bd.roots
+        for e, is_split in zip(cs.base.edges, split):
+            assert is_split or fibers[e.u] == fibers[e.v] == 1, bd.roots
+        if betti == 1:
+            assert tate_cycle_exponent(cs) == cycle, bd.roots
+            cycles += 1
+    assert cycles >= 100
 
 
 # -- elliptic reduction -------------------------------------------------

@@ -206,6 +206,18 @@ def test_join_frozen():
     assert point_eq(join(x, x), x)
 
 
+def test_chains_stand_in_by_their_outermost_disc():
+    """Tree operations read a chain as its outermost listed disc, which
+    is exact once the other point leaves that disc."""
+    chain = ChainPoint(Q5, ((Fraction(0), fin(1)), (Fraction(0), fin(2))))
+    outer = DiscPoint(Q5, Fraction(0), fin(1))
+    assert point_eq(chain, outer) and point_eq(outer, chain)
+    assert point_leq(chain, outer) and point_leq(outer, chain)
+    assert not point_leq(chain, DiscPoint(Q5, Fraction(0), fin(2)))
+    assert format_point(join(chain, pt1(Q5, "1"))) == "disc(0; 0)"
+    assert point_eq(join(pt1(Q5, "1"), chain), GAUSS)
+
+
 def test_join_laws():
     rng = random.Random(79)
     for field in (Q5, LSER):
