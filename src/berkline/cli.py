@@ -7,6 +7,11 @@ rule.  All JSON output is deterministic: keys sorted, exact values as
 strings or ints, floats only in fields named "approx" which are display
 only and never fed back into computations.
 
+Each subcommand ``_cmd_<name>(args, field)`` returns its answer: a dict,
+or the DOT text of ``hull --dot`` and ``hyper --dot``.  :func:`run`
+parses ``--field``, when the subcommand has one, before the other
+arguments, and prints every answer, JSON with ``"status": "ok"`` added.
+
 Start-up is part of every call, so each subcommand imports the library
 modules it runs inside its own function, and this module loads only
 ``errors`` at import.  ``classify``, ``eval``, ``path``, ``hull`` and
@@ -38,7 +43,7 @@ def _with_approx(out: dict, approx) -> dict:
     return out
 
 
-def _mag_json(mag, field=None) -> dict:
+def _mag_json(mag, field) -> dict:
     from .exponents import format_exponent
     from .fields import PAdicField
 
@@ -54,10 +59,6 @@ def _realmag_json(v) -> dict:
     if v.is_zero:
         return {"zero": True}
     return _with_approx({"base": _frac_json(v.base), "exp": _frac_json(v.exp)}, v.to_float)
-
-
-def _emit(payload: dict) -> None:
-    print(json.dumps(payload, sort_keys=True))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -122,65 +123,50 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_classify(args) -> None:
-    from .fields import parse_field
+def _cmd_classify(args, field) -> dict:
     from .line import classify, components_count, parse_point
 
-    field = parse_field(args.field)
     x = parse_point(field, args.point)
     pc = classify(x)
-    _emit(
-        {
-            "status": "ok",
-            "type": pc.type,
-            "E": pc.E,
-            "F": pc.F,
-            "components": components_count(x).value,
-        }
-    )
+    return {
+        "type": pc.type,
+        "E": pc.E,
+        "F": pc.F,
+        "components": components_count(x).value,
+    }
 
 
-def _cmd_eval(args) -> None:
-    from .fields import parse_field
+def _cmd_eval(args, field) -> dict:
     from .line import eval_seminorm, parse_point, seminorm_is_exact
     from .polynomials import parse_poly
 
-    field = parse_field(args.field)
     x = parse_point(field, args.point)
     f = parse_poly(field, args.poly)
-    _emit(
-        {
-            "status": "ok",
-            "value": _mag_json(eval_seminorm(f, x), field),
-            "exact": seminorm_is_exact(x),
-        }
-    )
+    return {
+        "value": _mag_json(eval_seminorm(f, x), field),
+        "exact": seminorm_is_exact(x),
+    }
 
 
-def _cmd_path(args) -> None:
+def _cmd_path(args, field) -> dict:
     from .exponents import format_length
-    from .fields import parse_field
     from .line import parse_point, path
 
-    field = parse_field(args.field)
     x = parse_point(field, args.start)
     y = parse_point(field, args.end)
     p = path(x, y)
-    _emit(
-        {
-            "status": "ok",
-            "segments": [
-                {
-                    "center": field.format_element(s.center),
-                    "from": format_length(s.e_from),
-                    "to": format_length(s.e_to),
-                    "length": format_length(s.length),
-                }
-                for s in p.segments
-            ],
-            "length": format_length(p.length),
-        }
-    )
+    return {
+        "segments": [
+            {
+                "center": field.format_element(s.center),
+                "from": format_length(s.e_from),
+                "to": format_length(s.e_to),
+                "length": format_length(s.length),
+            }
+            for s in p.segments
+        ],
+        "length": format_length(p.length),
+    }
 
 
 def _graph_json(g) -> dict:
@@ -203,151 +189,109 @@ def _graph_json(g) -> dict:
     }
 
 
-def _cmd_hull(args) -> None:
-    from .fields import parse_field
+def _cmd_hull(args, field):
     from .line import convex_hull, parse_point
 
-    field = parse_field(args.field)
     pts = [parse_point(field, t) for t in args.points]
     g = convex_hull(pts)
-    if args.dot:
-        print(g.to_dot("hull"))
-        return
-    payload = {"status": "ok"}
-    payload.update(_graph_json(g))
-    _emit(payload)
+    return g.to_dot("hull") if args.dot else _graph_json(g)
 
 
-def _cmd_member(args) -> None:
+def _cmd_member(args, field) -> dict:
     from .domains import member, parse_domain, parse_standard_domain, to_domain
-    from .fields import parse_field
     from .line import parse_point, seminorm_is_exact
 
-    field = parse_field(args.field)
     x = parse_point(field, args.point)
     if args.standard is not None:
         sd = parse_standard_domain(field, args.standard)
         d = to_domain(sd)
     else:
         d = parse_domain(field, args.domain)
-    _emit(
-        {
-            "status": "ok",
-            "member": member(x, d),
-            "exact": seminorm_is_exact(x),
-            "class": d.classify().value,
-        }
-    )
+    return {
+        "member": member(x, d),
+        "exact": seminorm_is_exact(x),
+        "class": d.classify().value,
+    }
 
 
-def _cmd_shilov(args) -> None:
+def _cmd_shilov(args, field) -> dict:
     from .domains import parse_standard_domain, shilov_boundary
-    from .fields import parse_field
     from .line import format_point
 
-    field = parse_field(args.field)
     sd = parse_standard_domain(field, args.standard)
-    _emit(
-        {
-            "status": "ok",
-            "points": [format_point(b) for b in shilov_boundary(sd)],
-        }
-    )
+    return {
+        "points": [format_point(b) for b in shilov_boundary(sd)],
+    }
 
 
-def _cmd_reduce(args) -> None:
+def _cmd_reduce(args, field) -> dict:
     from .domains import GENERIC, reduce_point
-    from .fields import parse_field
     from .line import parse_point
 
-    field = parse_field(args.field)
     x = parse_point(field, args.point)
     r = reduce_point(x)
     if r is GENERIC:
-        _emit({"status": "ok", "generic": True})
-    else:
-        _emit(
-            {
-                "status": "ok",
-                "generic": False,
-                "residue": field.residue_field.format_element(r),
-            }
-        )
+        return {"generic": True}
+    return {
+        "generic": False,
+        "residue": field.residue_field.format_element(r),
+    }
 
 
-def _cmd_mspecz(args) -> None:
+def _cmd_mspecz(args, field) -> dict:
     from .zspectrum import format_zpoint, parse_zpoint, zpoint_eval
 
     zp = parse_zpoint(args.point)
     values = [read_literal(c, "integer", c, integer=True) for c in args.values.split(",")]
-    _emit(
-        {
-            "status": "ok",
-            "point": format_zpoint(zp),
-            "values": [
-                dict(m=m, **_realmag_json(zpoint_eval(zp, m))) for m in values
-            ],
-        }
-    )
+    return {
+        "point": format_zpoint(zp),
+        "values": [
+            dict(m=m, **_realmag_json(zpoint_eval(zp, m))) for m in values
+        ],
+    }
 
 
-def _cmd_nadic(args) -> None:
+def _cmd_nadic(args, field) -> dict:
     from .zspectrum import nadic_norm, nadic_spectral
 
     x = read_literal(args.x, "rational", args.x)
-    _emit(
-        {
-            "status": "ok",
-            "norm": _realmag_json(nadic_norm(x, args.n)),
-            "spectral": _realmag_json(nadic_spectral(x, args.n)),
-        }
-    )
+    return {
+        "norm": _realmag_json(nadic_norm(x, args.n)),
+        "spectral": _realmag_json(nadic_spectral(x, args.n)),
+    }
 
 
-def _cmd_elliptic(args) -> None:
+def _cmd_elliptic(args, field) -> dict:
     from .exponents import format_exponent
-    from .fields import parse_field
     from .hyperelliptic import Multiplicative, elliptic_reduction
 
-    field = parse_field(args.field)
     lam = field.parse_element(args.lam)
     red = elliptic_reduction(field, lam)
     if isinstance(red, Multiplicative):
-        _emit(
-            {
-                "status": "ok",
-                "type": "multiplicative",
-                "cycle_exponent": format_exponent(red.cycle_exponent),
-                "via": red.via,
-            }
-        )
-    else:
-        rf = field.residue_field
-        _emit(
-            {
-                "status": "ok",
-                "type": "good",
-                "lambda_residue": rf.format_element(red.lambda_residue),
-                "j_residue": rf.format_element(red.j_residue),
-            }
-        )
+        return {
+            "type": "multiplicative",
+            "cycle_exponent": format_exponent(red.cycle_exponent),
+            "via": red.via,
+        }
+    rf = field.residue_field
+    return {
+        "type": "good",
+        "lambda_residue": rf.format_element(red.lambda_residue),
+        "j_residue": rf.format_element(red.j_residue),
+    }
 
 
-def _cmd_hyper(args) -> None:
-    from .fields import parse_field
+def _cmd_hyper(args, field):
     from .hyperelliptic import BranchData, cover_skeleton, fiber_count
     from .line import classify
 
-    field = parse_field(args.field)
     roots = [field.parse_element(t) for t in args.roots.split(",")]
     lead = field.parse_element(args.lc) if args.lc is not None else None
     bd = BranchData.from_roots(field, roots, lead)
     cs = cover_skeleton(bd)
     if args.dot:
-        print(cs.base.to_dot("cover"))
-        return
+        return cs.base.to_dot("cover")
     payload = {
-        "status": "ok",
         "betti": cs.betti,
         "total_genus": cs.total_genus,
         "vertex_genera": list(cs.vertex_genus),
@@ -363,18 +307,16 @@ def _cmd_hyper(args) -> None:
             else:
                 strict.append(fiber_count(bd, v.point, strict_squares=True))
         payload["strict_fibers"] = strict
-    _emit(payload)
+    return payload
 
 
-def _cmd_retract(args) -> None:
-    from .fields import parse_field
+def _cmd_retract(args, field) -> dict:
     from .line import convex_hull, format_point, parse_point, retract_to_hull
 
-    field = parse_field(args.field)
     hull_pts = [parse_point(field, t) for t in args.hull_point]
     x = parse_point(field, args.point)
     g = convex_hull(hull_pts)
-    _emit({"status": "ok", "point": format_point(retract_to_hull(x, g))})
+    return {"point": format_point(retract_to_hull(x, g))}
 
 
 _COMMANDS = {
@@ -407,7 +349,13 @@ def run(argv) -> int:
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        _COMMANDS[args.command](args)
+        field = None
+        if "field" in args:
+            from .fields import parse_field
+
+            field = parse_field(args.field)
+        out = _COMMANDS[args.command](args, field)
+        print(out if isinstance(out, str) else json.dumps({"status": "ok", **out}, sort_keys=True))
     except ParseError as exc:
         print(f"parse error [{exc.rule}]: {exc}", file=sys.stderr)
         return 3

@@ -29,9 +29,10 @@ backends), a center of the same disc with everything of size at most
 the radius removed.  The first two are written once for both base
 fields, on Python ints (:class:`_IntKernels`): over Q with the
 denominators cleared once per factor, over F_p reduced mod ``p`` as
-values are stored.  ``padic`` and ``trivial`` backends forward them to
-their base.  Puiseux fields run them on integer exponent keys through
-the base's keyed kernels, which return int rows and their scale;
+values are stored.  ``padic`` and ``trivial`` backends bind them, and
+the element arithmetic, from their base at construction.  Puiseux
+fields run them on integer exponent keys through the base's keyed
+kernels, which return int rows and their scale;
 :func:`_from_int_keys` lowers those rows to elements, and
 ``lowest_terms`` reads the valuations off them and lowers one term of
 each row it is asked for.
@@ -478,53 +479,18 @@ def _parse_prime(digits: str, rule: str, original: str) -> int:
 
 
 class _OverBase:
-    """Element arithmetic and polynomial kernels forwarded to the base
-    field ``self.base``, for the backends that only add a valuation."""
+    """A base field ``self.base`` with a valuation added: its element
+    arithmetic and polynomial kernels are the base's own, bound from the
+    base at construction."""
 
-    @property
-    def char(self) -> int:
-        return self.base.char
+    _BASE_MEMBERS = (
+        "char", "zero", "one", "from_int", "add", "sub", "mul", "neg", "inv", "div",
+        "is_zero", "format_element", "taylor_shift_coeffs", "mul_coeffs",
+    )
 
-    @property
-    def zero(self):
-        return self.base.zero
-
-    @property
-    def one(self):
-        return self.base.one
-
-    def from_int(self, n: int):
-        return self.base.from_int(n)
-
-    def add(self, x, y):
-        return self.base.add(x, y)
-
-    def sub(self, x, y):
-        return self.base.sub(x, y)
-
-    def mul(self, x, y):
-        return self.base.mul(x, y)
-
-    def neg(self, x):
-        return self.base.neg(x)
-
-    def inv(self, x):
-        return self.base.inv(x)
-
-    def div(self, x, y):
-        return self.base.div(x, y)
-
-    def is_zero(self, x) -> bool:
-        return self.base.is_zero(x)
-
-    def format_element(self, x) -> str:
-        return self.base.format_element(x)
-
-    def taylor_shift_coeffs(self, coeffs, a, count) -> list:
-        return self.base.taylor_shift_coeffs(coeffs, a, count)
-
-    def mul_coeffs(self, *factors) -> list:
-        return self.base.mul_coeffs(*factors)
+    def __post_init__(self):
+        for name in self._BASE_MEMBERS:
+            object.__setattr__(self, name, getattr(self.base, name))
 
     def lowest_terms(self, coeffs, a):
         """The valuation exponent of each coefficient of ``g = f(T + a)``
@@ -546,6 +512,7 @@ class PAdicField(_OverBase):
     def __post_init__(self):
         if not _is_prime(self.p):
             raise DomainError(f"{self.p} is not prime")
+        super().__post_init__()
 
     @property
     def selector(self) -> str:

@@ -209,6 +209,30 @@ def test_parse_failures_exit_3():
     )
 
 
+def test_bad_field_is_reported_before_the_other_arguments():
+    # every subcommand with --field reads it first, so a bad selector is
+    # the one error reported even when the rest is malformed too
+    for argv in (
+        ["classify", "disc(0 1/2)"],
+        ["eval", "--poly", "T+", "pt1(0)"],
+        ["path", "pt1(", "pt1(0)"],
+        ["hull", "pt1(0)", "disc(0"],
+        ["member", "--standard", "annulus(0)", "pt1(0)"],
+        ["shilov", "--standard", "closed_disc(0)"],
+        ["reduce", "chain[,(0;0)]"],
+        ["elliptic", "--lambda=t^(1/0)"],
+        ["hyper", "--roots=1,,2"],
+        ["retract", "--hull-point", "pt1(0", "pt1(0)"],
+    ):
+        argv = [argv[0], "--field", "padic:4", *argv[1:]]
+        code, out, err = invoke(argv)
+        assert (code, out) == (3, ""), argv
+        assert err == (
+            "parse error [field selector]: cannot parse 'field selector' from "
+            "'padic:4': 4 is not prime\n"
+        ), argv
+
+
 def test_zero_exponent_denominator_exits_3():
     for argv in (
         ["elliptic", "--field", "puiseux:Q", "--lambda=t^(1/0)"],

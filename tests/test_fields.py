@@ -198,6 +198,20 @@ def test_trivial_field():
     assert k.residue(Fraction(7, 3)) == Fraction(7, 3)
 
 
+def test_valued_fields_use_their_base_arithmetic():
+    # padic and trivial fields add a valuation to their base field; the
+    # arithmetic and kernels are the base's own methods, not wrappers
+    names = (
+        "char", "zero", "one", "from_int", "add", "sub", "mul", "neg", "inv", "div",
+        "is_zero", "format_element", "taylor_shift_coeffs", "mul_coeffs",
+    )
+    for selector in ("padic:5", "trivial:Q", "trivial:F7"):
+        k = parse_field(selector)
+        for name in names:
+            assert getattr(k, name) == getattr(k.base, name), (selector, name)
+        assert k.add(k.one, k.one) == k.from_int(2)
+
+
 def test_field_selectors():
     assert parse_field("padic:5") == Q5
     assert parse_field("puiseux:Q") == PuiseuxField(Rationals())
