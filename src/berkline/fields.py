@@ -33,9 +33,11 @@ values are stored.  ``padic`` and ``trivial`` backends bind them, and
 the element arithmetic, from their base at construction.  Puiseux
 fields run them on integer exponent keys through the base's keyed
 kernels, which return int rows and their scale;
-:func:`_from_int_keys` lowers those rows to elements, and
-``lowest_terms`` reads the valuations off them and lowers one term of
-each row it is asked for.
+:func:`_from_int_keys` lowers those rows to elements.  ``lowest_terms``
+reads each row's least key and the value there through the base's
+``lowest_keyed`` (over Q off rows packed one int per row unless one
+would be wider than ``MAX_EXACT_BITS``, over F_p off the dict rows),
+and lowers one term of each row it is asked for.
 """
 
 from __future__ import annotations
@@ -46,8 +48,8 @@ from math import isqrt, lcm
 from typing import Optional, Tuple, Union
 
 from .errors import (
-    MAX_TERM_WORK, PRIME_LIMIT, DomainError, ParseError, _is_prime, _vp, check_bits,
-    read_literal, record, split_top,
+    MAX_EXACT_BITS, MAX_TERM_WORK, PRIME_LIMIT, DomainError, ParseError, _is_prime, _vp,
+    check_bits, read_literal, record, split_top,
 )
 from .exponents import EXP_ZERO, MAG_ZERO, Exponent, Magnitude, _make, int_magnitude
 
@@ -56,7 +58,6 @@ from .exponents import EXP_ZERO, MAG_ZERO, Exponent, Magnitude, _make, int_magni
 # direct fold through the base field's ``add`` and ``mul``: faster there
 # than the lift to ints, over Q and F_p alike.
 _DIRECT_FOLD = 2
-
 
 def _check_q_size(lf_bits: int, n: int, A: int, D: int, count: int) -> None:
     """Refuse, past ``MAX_EXACT_BITS``, a sweep of ``count`` rows over Q
@@ -202,6 +203,16 @@ class _IntKernels:
                     rows[j] = {g: c for g, c in row.items() if c}
         return rows, L * power, D
 
+    def lowest_keyed(self, shift, rows):
+        """The lowest term of each row of the full sweep of
+        :meth:`shift_keyed`: ``None`` for a zero row, else its least key
+        and the int value there, with the scale of row 0 and ``D`` as
+        there.  This reader runs the dict sweep, which over F_p stays
+        sparse where the binomials vanish mod ``p`` (Lucas' theorem); a
+        lift of the rows to Z would lose those zeros and the reduction."""
+        rows, scale, D = self.shift_keyed(shift, rows, len(rows))
+        return [min(row.items()) if row else None for row in rows], scale, D
+
     def mul_keyed(self, *factors):
         """:meth:`mul_coeffs` term by term on keyed rows, without the
         lowering: the product's rows as int dicts, all at one scale, and
@@ -255,16 +266,16 @@ def _from_int_keys(base, d, rows, scale, D=1) -> list:
     return out
 
 
-def _keyed_shift(base, coeffs, a, count):
-    """The first ``count`` rows of ``f(T + a)`` on int keys: ``d`` of
-    :func:`_int_keys`, then the int rows, the scale of row 0 and ``D``
-    of ``base.shift_keyed``.  The sweep is refused up front when
+def _keyed_rows(coeffs, a, count):
+    """The coefficients of ``f`` and the center ``a`` on int keys for a
+    sweep of ``count`` rows: ``d`` of :func:`_int_keys`, the terms of
+    ``a`` and the rows.  The sweep is refused up front when
     :func:`_term_work` is past ``MAX_TERM_WORK``."""
     d, ([shift], rows) = _int_keys((a,), coeffs)
     work = _term_work(shift, rows, count)
     if work > MAX_TERM_WORK:
         raise DomainError(f"a sweep would need {work} term operations, above {MAX_TERM_WORK}")
-    return (d, *base.shift_keyed(shift, rows, count))
+    return d, shift, rows
 
 
 def _term_work(shift, rows, count) -> int:
@@ -300,7 +311,9 @@ class Rationals(_IntKernels):
 
     The polynomial kernels run fraction-free (:class:`_IntKernels`;
     Bareiss 1968): the denominators are cleared once, the sweep runs on
-    Python ints, and each output coefficient is divided once.
+    Python ints, and each output coefficient is divided once.  The disc
+    reader :meth:`lowest_keyed` packs each keyed row into one int unless
+    a packed row would be wider than ``MAX_EXACT_BITS``.
     """
 
     char = 0
@@ -369,6 +382,107 @@ class Rationals(_IntKernels):
         return [[(g, c.numerator * (L // c.denominator)) for g, c in row] for row in rows], L
 
     _lower = staticmethod(Fraction)
+
+    def lowest_keyed(self, shift, rows):
+        """:meth:`_IntKernels.lowest_keyed` from the packed rows of
+        :meth:`_packed_sweep` when it packs them, else from the dict
+        rows.  A final row with every slot below ``2**(W-1)`` in absolute
+        value has one expansion in such slots: if ``c != 0`` is its
+        lowest slot, at ``q``, the row is ``2**(q*W) * (c + 2**W * r)``
+        and ``c`` has fewer than ``W - 1`` trailing zero bits, so ``q``
+        is the row's trailing zero count floor-divided by ``W`` and ``c``
+        is that slot read as a signed ``W``-bit value (a negative ``c``
+        borrows from the slots above it, and the signed reading gives
+        the borrow back).  Nothing is unpacked."""
+        sweep = self._packed_sweep(shift, rows)
+        if sweep is None:
+            return super().lowest_keyed(shift, rows)
+        W, lo, final, scale, D = sweep
+        half, mask, lows = 1 << (W - 1), (1 << W) - 1, []
+        for low, row in zip(lo, final):
+            if row:
+                q = ((row & -row).bit_length() - 1) // W
+                c = (row >> q * W) & mask
+                lows.append((low + q, c - mask - 1 if c >= half else c))
+            else:
+                lows.append(None)
+        return lows, scale, D
+
+    def _packed_sweep(self, shift, rows):
+        """The full keyed sweep of :meth:`shift_keyed` on packed rows
+        (Kronecker substitution; Harvey, arXiv:0712.4046), or ``None``
+        where a packed row would be too wide.  Returns ``W``, the key
+        offsets ``lo``, an iterator over the final rows in order (each
+        let go once it is final), the scale of row 0 and ``D``.
+
+        Row ``j`` is one int holding its value at key ``k`` in the ``W``
+        bits from ``W*(k - lo_j)``: the row as a polynomial in ``x``,
+        evaluated at ``x = 2**W``, so sums, products by ints and
+        whole-slot shifts are exact on it whatever its slots hold on the
+        way.  A fold from row ``j + 1`` adds
+        ``(src * c) << W*(g + lo_(j+1) - lo_j)`` once per term ``(g, c)``
+        of ``D*a``.  The offset ``lo_j``, the least key row ``j`` can
+        reach, is ``min(least key of F_j, lo_(j+1) + min g)``, so no
+        shift is negative.
+
+        Width.  With ``l1 = max_j ||L*f_j||_1`` and ``A1 = ||D*a||_1``
+        (sums of absolute values), row ``i`` ends as
+        ``G_i = sum_(j>=i) C(j, i) * L*f_j * D**(n-1-j) * (D*a)**(j-i)``.
+        As ``||xy||_1 <= ||x||_1 * ||y||_1``, ``C(j, i) <= 2**(n-1)``
+        and ``sum_(k<=m) D**(m-k) * A1**k <= (A1 + D)**m``,
+        ``||G_i||_1 <= l1 * 2**(n-1) * (A1 + D)**(n-1-i)``, so every
+        final slot has ``|c| < 2**bits(l1) * 2**(n-1) *
+        2**bits((A1 + D)**(n-1)) = 2**(W-1)``.
+
+        Choice.  A row of key span ``k`` packs into about ``k*W`` bits
+        however few terms it holds, so a sparse row over a wide span (a
+        center such as ``t^(1/1000) + t^(999/1000)``) would cost gigabytes
+        packed.  Where a packed row would be wider than
+        ``MAX_EXACT_BITS``, the dict rows are read instead.
+        :func:`_check_q_size` refuses first, as in :meth:`shift_keyed`,
+        which also bounds ``(A1 + D)**(n-1)`` before it is formed."""
+        n, m = len(rows), len(rows) - 1
+        [shift], D = self._lift_rows([shift])
+        rows, L = self._lift_rows(rows)
+        A1 = sum([abs(c) for _, c in shift])
+        l1 = max([sum([abs(c) for _, c in row]) for row in rows])
+        _check_q_size(max([c.bit_length() for row in rows for _, c in row]), n, A1, D, n)
+        W = l1.bit_length() + m + ((A1 + D) ** m).bit_length() + 1
+        keys = [g for g, _ in shift]
+        down, up = min(keys), max(keys)
+        lo, low, high, widest = [0] * n, None, None, 0
+        for j in range(m, -1, -1):
+            row = rows[j]
+            if low is not None:
+                low, high = low + down, high + up
+            if row:
+                ks = [g for g, _ in row]
+                low = min(ks) if low is None else min(low, *ks)
+                high = max(ks) if high is None else max(high, *ks)
+            if low is not None:
+                lo[j], widest = low, max(widest, high - low + 1)
+        if widest * W > MAX_EXACT_BITS:
+            return None
+        packed = [sum([c << W * (g - lo[j]) for g, c in row]) for j, row in enumerate(rows)]
+        folds = [[(W * (g + lo[j + 1] - lo[j]), c) for g, c in shift] for j in range(m)]
+
+        def final():
+            power = 1
+            for i in range(n):
+                for j in range(m - 1, i - 1, -1):
+                    row = packed[j]
+                    if i == 0 and D > 1:  # the powers of D, as in shift_keyed
+                        power *= D
+                        row *= power
+                    src = packed[j + 1]
+                    if src:
+                        for sh, c in folds[j]:
+                            row += (src * c) << sh
+                    packed[j] = row
+                row, packed[i] = packed[i], None
+                yield row
+
+        return W, lo, final(), L * D**m, D
 
 
 @record
@@ -686,7 +800,8 @@ class PuiseuxField:
         """
         if not a or len(coeffs) < 2:
             return list(coeffs[:count])
-        return _from_int_keys(self.base, *_keyed_shift(self.base, coeffs, a, count))
+        d, shift, rows = _keyed_rows(coeffs, a, count)
+        return _from_int_keys(self.base, d, *self.base.shift_keyed(shift, rows, count))
 
     def lowest_terms(self, coeffs, a):
         """The valuation exponent of each coefficient of ``g = f(T + a)``
@@ -694,24 +809,26 @@ class PuiseuxField:
         ``g_i`` as a monomial: it has the valuation and the leading
         coefficient of ``g_i``.
 
-        The sweep is the one of :meth:`taylor_shift_coeffs`, read before
-        it is lowered: a row's valuation is its least int key over ``d``,
-        and only the rows that ``lowest`` is asked for bring that one term
-        through :func:`_from_int_keys`.  Unshifted coefficients (a shift
-        by zero, or of a constant) are read as they are.
+        The sweep is that of :meth:`taylor_shift_coeffs` on the same int
+        keys, read by the base field's ``lowest_keyed``, which gives each
+        row's least key and its int value (over Q from packed rows, over
+        F_p from the dict rows): a row's valuation is that key over
+        ``d``, and only the rows that ``lowest`` is asked for lower their
+        value.  Unshifted coefficients (a shift by zero, or of a
+        constant) are read as they are.
         """
         if not a or len(coeffs) < 2:
             vals = [_make(x[0][0].numerator, 0, x[0][0].denominator) if x else None for x in coeffs]
             return vals, lambda i: coeffs[i][:1]
         base = self.base
-        d, rows, scale, D = _keyed_shift(base, coeffs, a, len(coeffs))
+        d, shift, rows = _keyed_rows(coeffs, a, len(coeffs))
+        lows, scale, D = base.lowest_keyed(shift, rows)
 
         def lowest(i):
-            row = rows[i]
-            g = min(row)
-            return _from_int_keys(base, d, [{g: row[g]}], scale // D**i)[0]
+            g, c = lows[i]
+            return ((Fraction(g, d), base._lower(c, scale // D**i)),)
 
-        return [_make(min(row), 0, d) if row else None for row in rows], lowest
+        return [_make(low[0], 0, d) if low else None for low in lows], lowest
 
     def mul_coeffs(self, *factors) -> list:
         """Schoolbook product of one or more factors on the integer keys of

@@ -13,6 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from berkline.cli import run
+from berkline.fields import Rationals, _int_keys, parse_field
+from berkline.polynomials import parse_poly
 
 # Each fixture is (argv, exact stdout). Outputs are frozen byte for byte;
 # any drift in JSON key order, rational formatting, or DOT layout is a bug.
@@ -375,20 +377,29 @@ def test_puiseux_term_work_beyond_the_bound_exits_4():
         assert '"exponent": "1/13"' in out
 
 
+def _run_within_512_mb(argv):
+    """``python -m berkline.cli argv`` in a fresh interpreter whose
+    address space alone is limited to 512 MB."""
+    resource = pytest.importorskip("resource")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+    return subprocess.run(
+        [sys.executable, "-m", "berkline.cli", *argv],
+        capture_output=True, text=True, env={"PYTHONPATH": src}, preexec_fn=limit,
+    )
+
+
 def test_heaviest_inputs_run_within_512_mb():
     """The heaviest accepted inputs measured, and refusals of the two
     work bounds, each in a fresh interpreter whose address space alone is
     limited to 512 MB: each ends with exit 0 or 4 and one line, never a
     traceback.  The full keyed sweep over F_5 at degree 2048 is the
     Lucas-sparse case of the keyed kernel."""
-    resource = pytest.importorskip("resource")
-    src = str(Path(__file__).resolve().parent.parent / "src")
     big = "7" * 3000
     center = "t^(1/7)+t^(1/11)+t^(1/13)"
-
-    def limit():
-        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
-
     for argv, want in (
         (["eval", "--field=puiseux:F5", "--poly=T^2048+T", "disc(2+t; 1)"], 0),
         (["eval", "--field=puiseux:F5", "--poly=T^4096+T", "pt1(2+t)"], 0),
@@ -398,15 +409,42 @@ def test_heaviest_inputs_run_within_512_mb():
         (["eval", "--field=puiseux:F5", "--poly=T^4096+T", f"disc({center}; 2)"], 4),
         (["eval", "--field=puiseux:Q", f"--poly={big}*T^4096", f"disc(1/{big}; 1)"], 4),
     ):
-        done = subprocess.run(
-            [sys.executable, "-m", "berkline.cli", *argv],
-            capture_output=True, text=True, env={"PYTHONPATH": src}, preexec_fn=limit,
-        )
+        done = _run_within_512_mb(argv)
         label = (argv[0], argv[1], argv[-1][:16])
         assert "Traceback" not in done.stderr, label
         assert done.returncode == want, (label, done.stderr[-300:])
         assert (done.stdout if want == 0 else done.stderr).count("\n") == 1, label
         assert (done.stderr if want == 0 else done.stdout) == "", label
+
+
+def test_sparse_wide_disc_sweeps_run_within_512_mb():
+    """Disc seminorms over puiseux:Q whose centers have exponents with
+    large denominators: the rows of the sweep hold few terms over a wide
+    span of keys, so a packed row would be wider than ``MAX_EXACT_BITS``
+    (packing took gigabytes for ``T^300+T`` at the first center, seconds
+    for ``T^100+T``).  Each shape takes the dict rows, and each input
+    answers as the dict sweep did, in a 512 MB child, within 30 s (0.2 to
+    4 s each on a 2-vCPU host)."""
+    field = parse_field("puiseux:Q")
+    wide, mixed = "t^(1/1000)+t^(999/1000)", "t^(1/7)+t^(1/11)"
+    for poly, center, exponent in (
+        ("T^100+T", wide, "1/1000"),
+        ("T^300+T", wide, "1/1000"),
+        ("T^300+T", mixed, "1/11"),
+    ):
+        label = (poly, center)
+        f, a = parse_poly(field, poly), field.parse_element(center)
+        _, ([shift], rows) = _int_keys((a,), f.coeffs)
+        assert Rationals()._packed_sweep(shift, rows) is None, label
+        start = time.perf_counter()
+        argv = ["eval", "--field=puiseux:Q", f"--poly={poly}", f"disc({center}; 2)"]
+        done = _run_within_512_mb(argv)
+        assert time.perf_counter() - start < 30.0, label
+        assert (done.returncode, done.stderr) == (0, ""), (label, done.stderr[-300:])
+        assert done.stdout == (
+            '{"exact": true, "status": "ok", "value": '
+            f'{{"exponent": "{exponent}", "zero": false}}}}\n'
+        ), label
 
 
 def test_strict_squares_column():

@@ -84,9 +84,14 @@ def _exponent(draw):
 
 @st.composite
 def _base_element(draw, base):
+    """Small values, and over Q about one in ten of 200 to 240 bits."""
     if base.char:
         return base.from_int(draw(st.integers(0, base.char - 1)))
-    return Fraction(draw(st.integers(-9, 9)), draw(st.sampled_from((1, 2, 3, 4, 25))))
+    if draw(st.integers(0, 9)) == 9:
+        numerators = st.integers(2**200, 2**240) | st.integers(-(2**240), -(2**200))
+    else:
+        numerators = st.integers(-9, 9)
+    return Fraction(draw(numerators), draw(st.sampled_from((1, 2, 3, 4, 25))))
 
 
 @st.composite
@@ -157,11 +162,24 @@ def test_dominant_terms_match_the_whole_expansion(selector, data):
 @pytest.mark.parametrize("selector", SELECTORS + ("trivial:F7",))
 def test_dominant_terms_edge_cases(selector):
     """``f = 0``, degree at most one (the dense direct fold, two keyed
-    rows), ``r = 0``, roots at the center, negative and non-integral
-    center exponents, irrational radii."""
+    rows), ``r = 0``, roots at the center of multiplicity 1 to 3,
+    negative and non-integral center exponents, irrational radii.  Over
+    puiseux:Q also rows whose lowest term is negative under positive
+    higher terms (in a packed row that slot borrows from the ones above
+    it), coefficients of over 200 bits, and negative exponents with
+    mixed denominators in ``f`` as well as in the center."""
     field = parse_field(selector)
+    extra = []
     if isinstance(field, PuiseuxField):
         centers = [field.parse_element(s) for s in ("t^(-3/7)+2*t^(1/11)", "t^(-2)", "3*t^(5/2)-t^(4)")]
+        if selector == "puiseux:Q":
+            big = 2**211 + 1
+            centers += [field.parse_element(s) for s in ("t^(1/2)+t", f"{big}/3+t^(-5/3)")]
+            extra = [
+                ("-3+5*t^(1/2)+7*t", "-1+t^(2/7)", "1"),
+                (f"-{big}*t^(-1/2)+{big}*t^(1/3)", f"t^(-5/3)+{big}/7*t^(3/7)", f"-{big}+t", "1"),
+            ]
+            extra = [Poly.make(field, [field.parse_element(s) for s in cs]) for cs in extra]
     elif isinstance(field, PAdicField):
         centers = [Fraction(7, field.p ** 2), Fraction(-3, 4), Fraction(field.p ** 3, 2)]
     else:
@@ -181,7 +199,9 @@ def test_dominant_terms_edge_cases(selector):
             at_a,
             Poly.make(field, (field.one, a)),
             at_a * at_a * Poly.make(field, (field.one, field.zero, a)),
+            at_a * at_a * at_a,
             at_a * Poly.make(field, [a, field.one, a, a, field.one]),
+            *extra,
         ]
         for f in shapes:
             for r in radii:

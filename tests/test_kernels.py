@@ -16,7 +16,7 @@ from functools import partial, reduce
 from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from berkline import (
     DomainError,
@@ -439,3 +439,71 @@ def test_term_work_is_tight_where_the_supports_fill():
     ):
         work, calls = _work_and_calls(field, cs, a, 1)
         assert calls <= work <= 3 * calls
+
+
+_QQ_KEYED = PuiseuxField(Rationals())
+# The worst case of the width bound is a single key: every coefficient
+# and the center at exponent 0, all positive, so that nothing cancels.
+_WIDTH_EXPONENTS = st.sampled_from(
+    [Fraction(0), Fraction(0), Fraction(1, 2), Fraction(-2, 3), Fraction(3)]
+)
+
+
+def _at_zero(c):
+    """``c`` as a Puiseux element with the one exponent 0."""
+    return ((Fraction(0), Fraction(c)),)
+
+
+@st.composite
+def _width_case(draw):
+    """Coefficients of degree 1 to 7 and a center over puiseux:Q, all
+    positive half the time, with numerators up to 2**70."""
+    positive = draw(st.booleans())
+    values = st.integers(1, 2**70) if positive else st.integers(-(2**70), 2**70).filter(bool)
+
+    def elem(min_size):
+        x = _QQ_KEYED.zero
+        for g in draw(st.lists(_WIDTH_EXPONENTS, min_size=min_size, max_size=3)):
+            c = Fraction(draw(values), draw(st.sampled_from([1, 1, 3, 4])))
+            x = _QQ_KEYED.add(x, _QQ_KEYED.monomial(g, c))
+        return x
+
+    degree = draw(st.integers(1, 7))
+    return [elem(0) for _ in range(degree)] + [elem(1)], elem(1)
+
+
+def _slots(row, low, W):
+    """The slots of a packed row, read as signed ``W``-bit values from
+    the bottom: ``{key: value}`` for the nonzero ones."""
+    half, slots, key = 1 << (W - 1), {}, low
+    while row:
+        c = row & (2 * half - 1)
+        c = c - 2 * half if c >= half else c
+        if c:
+            slots[key] = c
+        row, key = (row - c) >> W, key + 1
+    return slots
+
+
+@settings(max_examples=150)
+@given(case=_width_case())
+@example(case=([_at_zero(255)] * 2, _at_zero(254)))
+@example(case=([_at_zero(Fraction(255, 4))] * 2, _at_zero(Fraction(248, 7))))
+def test_packed_rows_hold_every_slot_in_its_width(case):
+    """White box: every final row of the packed sweep over puiseux:Q,
+    unpacked slot by slot, equals the dict row of ``shift_keyed``, keys
+    and values, at the same scale, and every value is below
+    ``2**(W-1)`` in absolute value.  The two examples are the single-key
+    worst case, ``l1 * (A1 + D)`` with both factors just below a power
+    of two, within a factor 4 of the bound: a width two bits short reads
+    them wrong."""
+    cs, a = case
+    _, ([shift], rows) = _int_keys((a,), cs)
+    sweep = Rationals()._packed_sweep(shift, rows)
+    assume(sweep is not None)
+    W, lo, final, scale, D = sweep
+    want, want_scale, want_D = Rationals().shift_keyed(shift, rows, len(rows))
+    assert (scale, D) == (want_scale, want_D)
+    got = [_slots(row, low, W) for low, row in zip(lo, final)]
+    assert got == want
+    assert all(abs(c) < 1 << (W - 1) for row in want for c in row.values())
