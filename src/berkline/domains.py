@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import re
 from enum import Enum
-from typing import Optional, Tuple, Union
+from typing import Tuple, Union
 
 from .errors import DomainError, ParseError, record, split_top
 from .exponents import Magnitude, format_exponent, format_magnitude, parse_exponent
@@ -187,43 +187,40 @@ def _t_minus(field: ValuedField, a) -> Poly:
     return Poly.make(field, (field.neg(a), field.one))
 
 
+def _radius_and_holes(sd: StandardDomain):
+    """Every shape as the closed disc ``E(sd.center, radius)`` minus open
+    holes: the annulus ``s <= |T - a| <= r`` is ``E(a, r)`` minus the open
+    disc of radius ``s`` around ``a``, and a closed disc has no holes."""
+    if isinstance(sd, ClosedDisc):
+        return sd.radius, ()
+    if isinstance(sd, Annulus):
+        return sd.outer, ((sd.center, sd.inner),)
+    return sd.radius, sd.holes
+
+
 def to_domain(sd: StandardDomain) -> Domain:
+    """``|T - a| <= r`` for the disc, then ``|T - a_i| >= r_i`` for each
+    open hole ``|T - a_i| < r_i`` it removes."""
     k = sd.field
     one = Poly.constant(k, k.one)
-    shifted = _t_minus(k, sd.center)
-    if isinstance(sd, ClosedDisc):
-        return Domain((Inequality(shifted, one, sd.radius, Rel.LEQ),))
-    if isinstance(sd, Annulus):
-        return Domain(
-            (
-                Inequality(shifted, one, sd.outer, Rel.LEQ),
-                Inequality(shifted, one, sd.inner, Rel.GEQ),
-            )
-        )
-    ineqs = [Inequality(shifted, one, sd.radius, Rel.LEQ)]
-    for a, r in sd.holes:
-        ineqs.append(Inequality(_t_minus(k, a), one, r, Rel.GEQ))
-    return Domain(tuple(ineqs))
+    radius, holes = _radius_and_holes(sd)
+    return Domain(tuple([
+        Inequality(_t_minus(k, sd.center), one, radius, Rel.LEQ),
+        *[Inequality(_t_minus(k, a), one, r, Rel.GEQ) for a, r in holes],
+    ]))
 
 
 def shilov_boundary(sd: StandardDomain) -> Tuple[Point, ...]:
-    """The finite set where every |f| attains its maximum: outer disc
-    point always; the inner one too for a genuinely thick annulus; one
-    extra point per hole smaller than the disc (the maximal point of a
-    full-size hole is the outer point)."""
+    """The finite set where every |f| attains its maximum.  A shape is a
+    disc minus open holes, and the maximal points of the disc and of each
+    hole smaller than it make up the set: the outer point always, the
+    inner one of a genuinely thick annulus, one per hole of a disc with
+    holes (the maximal point of a full-size hole is the outer point)."""
     k = sd.field
-    if isinstance(sd, ClosedDisc):
-        return (DiscPoint(k, sd.center, sd.radius),)
-    if isinstance(sd, Annulus):
-        outer = DiscPoint(k, sd.center, sd.outer)
-        if sd.inner == sd.outer:
-            return (outer,)
-        return (outer, DiscPoint(k, sd.center, sd.inner))
-    pts = [DiscPoint(k, sd.center, sd.radius)]
-    for a, r in sd.holes:
-        if r < sd.radius:
-            pts.append(DiscPoint(k, a, r))
-    return tuple(pts)
+    radius, holes = _radius_and_holes(sd)
+    return tuple([
+        DiscPoint(k, sd.center, radius), *[DiscPoint(k, a, r) for a, r in holes if r < radius]
+    ])
 
 
 def max_modulus_check(f: Poly, sd: StandardDomain, samples) -> bool:

@@ -160,6 +160,25 @@ class _IntKernels:
         lower = self._lower
         return [lower(z, den) for z in out]
 
+    def _dict_rows(self, rows) -> list:
+        """Keyed rows as int dicts.  A row whose keys repeat (a sum not in
+        canonical form) has the values of each key summed and what cancels
+        (mod ``p`` over F_p) dropped; a canonical row costs one length
+        comparison."""
+        m, out = self.char, []
+        for terms in rows:
+            row = dict(terms)
+            if len(row) < len(terms):
+                row = {}
+                for g, c in terms:
+                    row[g] = row.get(g, 0) + c
+                if m:
+                    row = {g: c % m for g, c in row.items() if c % m}
+                else:
+                    row = {g: c for g, c in row.items() if c}
+            out.append(row)
+        return out
+
     def shift_keyed(self, shift, rows, count):
         """:meth:`taylor_shift_coeffs` term by term on keyed rows, without
         the lowering: one scale lifts every term of the rows, the sweep
@@ -177,9 +196,9 @@ class _IntKernels:
         n, m = len(rows), self.char
         [shift], D = self._lift_rows([shift])
         rows, L = self._lift_rows(rows)
-        rows = [dict(row) for row in rows]
+        rows = self._dict_rows(rows)
         if not m:
-            lf_bits = max(c.bit_length() for row in rows for c in row.values())
+            lf_bits = max([c.bit_length() for row in rows for c in row.values()], default=0)
             _check_q_size(lf_bits, n, sum(abs(c) for _, c in shift), D, count)
         power = 1
         for i in range(count):
@@ -219,7 +238,8 @@ class _IntKernels:
         that scale."""
         m, lift = self.char, self._lift_rows
         xs, den = lift(factors[0])
-        out = list(map(dict, xs))  # the product of one factor
+        if len(factors) == 1:
+            return self._dict_rows(xs), den
         for k, factor in enumerate(factors[1:]):
             ys, scale = lift(factor)
             den *= scale

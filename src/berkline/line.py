@@ -306,11 +306,10 @@ def join(x: Point, y: Point) -> Point:
     k = _same_field(x, y)
     ax, rx = _anchor(x)
     ay, ry = _anchor(y)
-    d = k.valuation(k.sub(ax, ay))
-    r = mag_max(rx, ry, d)
-    if r == rx and d <= rx:
+    r = mag_max(rx, ry, k.valuation(k.sub(ax, ay)))
+    if r == rx:
         return x
-    if r == ry and d <= ry:
+    if r == ry:
         return y
     return DiscPoint(k, ax, r)
 
@@ -348,24 +347,26 @@ def _radius_exponent_or_inf(r: Magnitude) -> Length:
 
 
 def path(x: Point, y: Point) -> Path:
-    """The unique arc from ``x`` to ``y``: up to the join, then down."""
+    """The unique arc from ``x`` to ``y``: up to the join, then down.
+
+    The join is ``E(a_x, r_z)`` with ``r_z = max(r_x, r_y, |a_x - a_y|)``.
+    It contains both ends, and discs that share a point are nested, so
+    an end is the join exactly when its radius is ``r_z``: one valuation
+    decides the whole arc.
+    """
     if isinstance(x, ChainPoint) or isinstance(y, ChainPoint):
         raise DomainError("paths with chain endpoints are not supported")
-    _same_field(x, y)
-    z = join(x, y)
+    k = _same_field(x, y)
     ax, rx = _anchor(x)
     ay, ry = _anchor(y)
-    _, rz = _anchor(z)
-    ex = _radius_exponent_or_inf(rx)
-    ey = _radius_exponent_or_inf(ry)
-    ez = rz.exponent if not rz.is_zero else INF
+    rz = mag_max(rx, ry, k.valuation(k.sub(ax, ay)))
+    ez = _radius_exponent_or_inf(rz)
     segments = []
-    if not point_eq(x, z):
-        segments.append(PathSegment(ax, ex, ez))
-    if not point_eq(y, z):
-        segments.append(PathSegment(ay, ez, ey))
-    total = add_lengths(*[s.length for s in segments]) if segments else Exponent(0)
-    return Path(tuple(segments), x, y, total)
+    if rx != rz:
+        segments.append(PathSegment(ax, _radius_exponent_or_inf(rx), ez))
+    if ry != rz:
+        segments.append(PathSegment(ay, ez, _radius_exponent_or_inf(ry)))
+    return Path(tuple(segments), x, y, add_lengths(*[s.length for s in segments]))
 
 
 class _InfinityDirection:
@@ -552,35 +553,35 @@ def convex_hull(points) -> SkeletonGraph:
 
 
 def top_vertex(g: SkeletonGraph) -> SkeletonVertex:
-    """Highest vertex with an honest point (the root of the disc order)."""
-    real = [v for v in g.vertices if v.point is not None]
-    top = real[0]
-    for v in real[1:]:
-        if point_leq(top.point, v.point):
-            top = v
-    return top
+    """Highest vertex with an honest point (the root of the disc order).
+
+    Every vertex of a hull lies in its root disc, so the root is the
+    honest vertex with the largest radius.
+    """
+    return max(
+        (v for v in g.vertices if v.point is not None), key=lambda v: _anchor(v.point)[1]
+    )
 
 
 def retract_to_hull(x: Point, g: SkeletonGraph) -> Point:
     """Nearest point of the subtree ``g``, the gate every path to ``g``
     passes through; a point of ``g`` is the join below or above it, so
-    :func:`join` returns it unchanged."""
+    :func:`join` returns it unchanged.
+
+    Inside the top disc, ``x`` climbs until it first meets the tree, at
+    the lowest of its joins with the vertices.  Those joins all contain
+    ``x``, so they are nested and the lowest has the smallest radius;
+    among equal radii the last in vertex order is kept, whose center
+    labels the answer.
+    """
     if isinstance(x, ChainPoint):
         raise DomainError("retraction of chain points is not supported")
     if not g.vertices:
         raise DomainError("retraction onto an empty graph")
     top = top_vertex(g)
     if point_leq(x, top.point):
-        # x sits inside the top disc: it climbs until it first meets the
-        # tree, at the lowest of its joins with the vertices.
-        best = None
-        for v in g.vertices:
-            if v.point is None:
-                continue
-            z = join(x, v.point)
-            if best is None or point_leq(z, best):
-                best = z
-        return best
+        joins = [join(x, v.point) for v in g.vertices if v.point is not None]
+        return min(reversed(joins), key=lambda z: _anchor(z)[1])
     if any(g.vertex(e.v).point is None for e in g.edges):
         return join(x, top.point)  # lands on the infinite upward ray
     return top.point

@@ -11,14 +11,18 @@ from typing import Optional
 
 from berkline import (
     INF,
+    ChainPoint,
     DiscPoint,
     DomainError,
     Exponent,
+    Path,
+    PathSegment,
     Poly,
     SkeletonEdge,
     SkeletonGraph,
     SkeletonVertex,
     Type1Point,
+    add_lengths,
     classify,
     convex_hull,
     format_point,
@@ -101,6 +105,56 @@ def reference_convex_hull(points) -> SkeletonGraph:
     )
     edges.sort(key=lambda e: (e.u, e.v))
     return SkeletonGraph(tuple(vertex_objs), tuple(edges), marked)
+
+
+def reference_path(x, y) -> Path:
+    """The arc from ``x`` to ``y`` through their join point: an end gets
+    a segment when ``point_eq`` says it is not the join."""
+    if isinstance(x, ChainPoint) or isinstance(y, ChainPoint):
+        raise DomainError("paths with chain endpoints are not supported")
+    z = join(x, y)
+    ax, rx = _anchor(x)
+    ay, ry = _anchor(y)
+    ez = _radius_exponent_or_inf(_anchor(z)[1])
+    segments = []
+    if not point_eq(x, z):
+        segments.append(PathSegment(ax, _radius_exponent_or_inf(rx), ez))
+    if not point_eq(y, z):
+        segments.append(PathSegment(ay, ez, _radius_exponent_or_inf(ry)))
+    total = add_lengths(*[s.length for s in segments]) if segments else Exponent(0)
+    return Path(tuple(segments), x, y, total)
+
+
+def reference_top_vertex(g):
+    """The honest vertex that every other one is ``point_leq`` to, by a
+    scan that moves up on each containment."""
+    real = [v for v in g.vertices if v.point is not None]
+    top = real[0]
+    for v in real[1:]:
+        if point_leq(top.point, v.point):
+            top = v
+    return top
+
+
+def reference_retract_to_hull(x, g):
+    """The retraction of a point onto a hull: inside the top disc, the
+    lowest join of ``x`` with a vertex under ``point_leq``, a later join
+    replacing an equal one; outside, the top vertex, or the join with it
+    when an edge runs up to infinity."""
+    if isinstance(x, ChainPoint):
+        raise DomainError("retraction of chain points is not supported")
+    top = reference_top_vertex(g)
+    if point_leq(x, top.point):
+        best = None
+        for v in g.vertices:
+            if v.point is not None:
+                z = join(x, v.point)
+                if best is None or point_leq(z, best):
+                    best = z
+        return best
+    if any(g.vertex(e.v).point is None for e in g.edges):
+        return join(x, top.point)
+    return top.point
 
 
 def synthetic_shift(k, coeffs, a) -> list:

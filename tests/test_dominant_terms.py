@@ -31,6 +31,7 @@ from berkline import (
     parse_poly,
     taylor_shift,
 )
+from berkline.fields import _int_keys
 from berkline.polynomials import dominant_terms
 from helpers import rand_element, rand_fraction
 from oracles import reference_dominant_terms, reference_fiber_count
@@ -166,20 +167,29 @@ def test_dominant_terms_edge_cases(selector):
     negative and non-integral center exponents, irrational radii.  Over
     puiseux:Q also rows whose lowest term is negative under positive
     higher terms (in a packed row that slot borrows from the ones above
-    it), coefficients of over 200 bits, and negative exponents with
-    mixed denominators in ``f`` as well as in the center."""
+    it), coefficients of over 200 bits, negative exponents with mixed
+    denominators in ``f`` as well as in the center, and ``T^24 + T`` at
+    the sparse wide-span center ``t^(1/1000) + t^(999/1000)``, which the
+    disc reader takes from the dict rows rather than packed ones."""
     field = parse_field(selector)
     extra = []
     if isinstance(field, PuiseuxField):
         centers = [field.parse_element(s) for s in ("t^(-3/7)+2*t^(1/11)", "t^(-2)", "3*t^(5/2)-t^(4)")]
         if selector == "puiseux:Q":
             big = 2**211 + 1
-            centers += [field.parse_element(s) for s in ("t^(1/2)+t", f"{big}/3+t^(-5/3)")]
+            wide = "t^(1/1000)+t^(999/1000)"
+            centers += [field.parse_element(s) for s in ("t^(1/2)+t", f"{big}/3+t^(-5/3)", wide)]
             extra = [
                 ("-3+5*t^(1/2)+7*t", "-1+t^(2/7)", "1"),
                 (f"-{big}*t^(-1/2)+{big}*t^(1/3)", f"t^(-5/3)+{big}/7*t^(3/7)", f"-{big}+t", "1"),
             ]
             extra = [Poly.make(field, [field.parse_element(s) for s in cs]) for cs in extra]
+            # packed, T^24 + T at the wide center would be a row of about
+            # 1.56M bits, so the reader takes the dict rows there
+            sparse = parse_poly(field, "T^24+T")
+            _, ([shift], rows) = _int_keys((field.parse_element(wide),), sparse.coeffs)
+            assert field.base._packed_sweep(shift, rows) is None
+            extra.append(sparse)
     elif isinstance(field, PAdicField):
         centers = [Fraction(7, field.p ** 2), Fraction(-3, 4), Fraction(field.p ** 3, 2)]
     else:

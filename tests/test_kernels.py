@@ -507,3 +507,35 @@ def test_packed_rows_hold_every_slot_in_its_width(case):
     got = [_slots(row, low, W) for low, row in zip(lo, final)]
     assert got == want
     assert all(abs(c) < 1 << (W - 1) for row in want for c in row.values())
+
+
+@pytest.mark.parametrize("name", ["puiseuxQ", "puiseuxF5"])
+def test_repeated_exponents_are_summed_in_the_keyed_kernels(name):
+    """A coefficient that is not in canonical form, with an exponent
+    repeated, is the sum of its terms: the keyed shift, evaluation, disc
+    reader and one-factor product read it as ``k.add(k.zero, c)`` does.
+    Three forms: ``3 - 6`` (a sum that survives), ``3 + t - 3`` (terms
+    that cancel, over F_5 ``3 + 2``) and ``3 - 3`` (nothing left), as
+    the constant term and as every coefficient, at the centers ``t`` and
+    ``2 + t``."""
+    field = {"puiseuxQ": PuiseuxField(Rationals()), "puiseuxF5": PuiseuxField(PrimeField(5))}[name]
+    three, minus = field.base.from_int(3), field.base.from_int(-3)
+    forms = [
+        ((Fraction(0), three), (Fraction(0), -6)),
+        ((Fraction(0), three), (Fraction(1), field.base.one), (Fraction(0), minus)),
+        ((Fraction(0), three), (Fraction(0), minus)),
+    ]
+    rho2 = Magnitude.finite(Exponent(2))
+    for c in forms:
+        canonical = field.add(field.zero, c)
+        assert canonical != c
+        for cs in ([c, field.one], [c, c]):
+            f = Poly.make(field, cs)
+            g = Poly.make(field, [canonical if x is c else x for x in cs])
+            for text in ("t", "2+t"):
+                a = field.parse_element(text)
+                assert taylor_shift(f, a) == taylor_shift(g, a)
+                assert f.evaluate(a) == g.evaluate(a)
+                for r in (rho2, Magnitude.zero()):
+                    assert dominant_terms(f, a, r) == dominant_terms(g, a, r)
+            assert Poly.make(field, field.mul_coeffs(f.coeffs)) == g

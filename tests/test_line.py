@@ -3,8 +3,10 @@
 import math
 import random
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from berkline import (
     INF,
@@ -17,6 +19,7 @@ from berkline import (
     DomainError,
     Exponent,
     Magnitude,
+    PAdicField,
     ParseError,
     PointClass,
     Type1Point,
@@ -41,7 +44,12 @@ from berkline import (
     torus_retract,
 )
 from helpers import LSER, Q5, distinct_roots, rand_element, rand_point, rand_poly, rand_radius
-from oracles import reference_convex_hull
+from oracles import (
+    reference_convex_hull,
+    reference_path,
+    reference_retract_to_hull,
+    reference_top_vertex,
+)
 
 
 def fin(a, b=0) -> Magnitude:
@@ -439,6 +447,141 @@ def test_points_of_a_hull_retract_to_themselves():
         for x in _points_of(g):
             r = retract_to_hull(x, g)
             assert point_eq(r, x) and format_point(r) == format_point(x)
+
+
+@st.composite
+def _element_of(draw, field):
+    if isinstance(field, PAdicField):
+        unit = Fraction(draw(st.integers(-40, 40)), draw(st.sampled_from((1, 2, 3, 7))))
+        return unit * Fraction(field.p) ** draw(st.integers(-2, 3))
+    x = field.zero
+    exponents = st.builds(Fraction, st.integers(-6, 9), st.sampled_from((1, 2, 3)))
+    for g in draw(st.lists(exponents, max_size=3)):
+        x = field.add(x, field.monomial(g, Fraction(draw(st.sampled_from((-3, -1, 1, 2, 5))))))
+    return x
+
+
+def _radius_of():
+    """Rational (integer or not) and irrational radius exponents."""
+    a = st.builds(Fraction, st.integers(-4, 6), st.sampled_from((1, 2, 3)))
+    b = st.sampled_from((0, 0, 0, 1, -1, Fraction(1, 2)))
+    return st.builds(lambda a, b: Magnitude.finite(Exponent(a, b)), a, b)
+
+
+@st.composite
+def _related_points(draw, field):
+    """Points each drawn afresh or next to an earlier one: the type-1
+    point at its center, a disc around that center (nested with it), the
+    same disc around another of its centers, or a point or disc around a
+    center nearby, in the same disc or just outside it.  Joins of such
+    points share centers and radii, so ties between them are common."""
+    pts = []
+    for _ in range(draw(st.integers(2, 7))):
+        if not pts or draw(st.integers(0, 3)) == 0:
+            c = draw(_element_of(field))
+            pts.append(Type1Point(field, c) if draw(st.booleans())
+                       else DiscPoint(field, c, draw(_radius_of())))
+            continue
+        x = draw(st.sampled_from(pts))
+        kind = draw(st.integers(0, 3))
+        if kind == 0:
+            pts.append(Type1Point(field, x.center))
+        elif kind == 1:
+            pts.append(DiscPoint(field, x.center, draw(_radius_of())))
+        else:
+            e = x.radius.exponent if isinstance(x, DiscPoint) else Exponent(draw(st.integers(-2, 4)))
+            m = math.ceil(e.to_float()) + draw(st.integers(-1, 2))
+            step = field.mul(field.from_int(draw(st.integers(1, 4))),
+                             field.element_with_valuation(Exponent(m)))
+            c = field.add(x.center, step)
+            if kind == 2 and isinstance(x, DiscPoint):
+                pts.append(DiscPoint(field, c, x.radius))
+            else:
+                pts.append(Type1Point(field, c) if draw(st.booleans())
+                           else DiscPoint(field, c, draw(_radius_of())))
+    return pts
+
+
+def _segments(p):
+    return [(s.center, s.e_from, s.e_to) for s in p.segments]
+
+
+@pytest.mark.parametrize("field", [Q5, LSER], ids=["padic5", "puiseuxQ"])
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_tree_functions_match_the_join_references(field, data):
+    """``path``, ``top_vertex`` and ``retract_to_hull`` decide from radii;
+    the references build join points and compare them with ``point_eq``
+    and ``point_leq``.  Every pair of the drawn points gives the same
+    segments (center, from, to) and length, and retracting each point
+    onto the hull of the others (and of all of them) gives the same text
+    and the same top vertex id, ties between equal joins included."""
+    pts = data.draw(_related_points(field))
+    for x in pts:
+        for y in pts:
+            got, want = path(x, y), reference_path(x, y)
+            assert _segments(got) == _segments(want)
+            assert got.length == want.length
+    for i, x in enumerate(pts):
+        for g in (convex_hull(pts[:i] + pts[i + 1:] or [x]), convex_hull(pts)):
+            assert top_vertex(g).id == reference_top_vertex(g).id
+            got, want = retract_to_hull(x, g), reference_retract_to_hull(x, g)
+            assert format_point(got) == format_point(want)
+
+
+def test_retraction_ties_keep_the_last_join():
+    """The hull of ``disc(5; 1)`` and ``pt1(10)`` is ``disc(10; 1)`` over
+    ``pt1(10)``.  The joins of ``pt1(0)`` with them are one disc, the
+    first vertex itself and ``disc(0; 1)`` from the second; the later
+    vertex in the hull's order names the answer."""
+    g = convex_hull([DiscPoint(Q5, Fraction(5), fin(1)), pt1(Q5, "10")])
+    assert [format_point(v.point) for v in g.vertices] == ["disc(10; 1)", "pt1(10)"]
+    x = pt1(Q5, "0")
+    assert format_point(retract_to_hull(x, g)) == "disc(0; 1)"
+    assert format_point(reference_retract_to_hull(x, g)) == "disc(0; 1)"
+
+
+@pytest.mark.parametrize("field", [Q5, LSER], ids=["padic5", "puiseuxQ"])
+def test_tree_functions_take_one_valuation_per_question(field):
+    """``path`` takes one valuation, whatever the ends: disjoint, nested,
+    equal, two centers of one disc, type 1.  ``top_vertex`` takes none,
+    and ``retract_to_hull`` of a point inside the top disc one per
+    honest vertex (its joins) plus one (the top disc test)."""
+    calls = []
+    valuation = type(field).valuation
+
+    def counting(self, x):
+        calls.append(x)
+        return valuation(self, x)
+
+    def p(text):
+        return parse_point(field, text)
+
+    u = "5" if isinstance(field, PAdicField) else "t"
+    pairs = [
+        ("pt1(0)", "pt1(1)"),
+        ("pt1(0)", f"disc({u}; 1)"),
+        ("disc(0; 2)", "disc(0; 1)"),
+        ("disc(0; 1)", f"disc({u}; 1)"),
+        ("disc(0; 1)", "disc(0; 1)"),
+        ("pt1(3)", "pt1(3)"),
+        ("disc(1; 1/2)", "disc(2; 1+1*s2)"),
+    ]
+    roots = ("0", "1", "5", "7", "25", "3") if u == "5" else ("0", "1", "t", "2+t", "t^(2)", "3")
+    g = convex_hull([p(f"pt1({r})") for r in roots])
+    honest = [v for v in g.vertices if v.point is not None]
+    x = p("pt1(10)" if u == "5" else "pt1(2*t)")
+    with patch.object(type(field), "valuation", counting):
+        for a, b in pairs:
+            calls.clear()
+            path(p(a), p(b))
+            assert len(calls) == 1, (a, b)
+        calls.clear()
+        top_vertex(g)
+        assert not calls
+        retract_to_hull(x, g)
+        assert len(calls) == len(honest) + 1
+    assert len(honest) == 9
 
 
 # -- text forms --------------------------------------------------------
