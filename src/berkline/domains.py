@@ -43,14 +43,12 @@ def _is_one(p: Poly) -> bool:
 
 @record
 class Inequality:
-    """``|f(x)| rel bound * |g(x)|``; strict variants exist only for
-    internal use by open discs and are not part of the text grammar."""
+    """``|f(x)| rel bound * |g(x)|``."""
 
     f: Poly
     g: Poly
     bound: Magnitude
     rel: Rel
-    strict: bool = False
 
     def __post_init__(self):
         if self.bound.is_zero:
@@ -61,9 +59,7 @@ class Inequality:
     def holds_at(self, x: Point) -> bool:
         lhs = eval_seminorm(self.f, x)
         rhs = self.bound * eval_seminorm(self.g, x)
-        if self.rel is Rel.LEQ:
-            return lhs < rhs if self.strict else lhs <= rhs
-        return lhs > rhs if self.strict else lhs >= rhs
+        return lhs <= rhs if self.rel is Rel.LEQ else lhs >= rhs
 
 
 class DomainClass(Enum):

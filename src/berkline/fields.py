@@ -835,7 +835,9 @@ class PuiseuxField:
         F_p from the dict rows): a row's valuation is that key over
         ``d``, and only the rows that ``lowest`` is asked for lower their
         value.  Unshifted coefficients (a shift by zero, or of a
-        constant) are read as they are.
+        constant) are read as they are, so they must be canonical, as
+        the class defines elements: a repeated exponent that cancels
+        would be misread as the lowest term.
         """
         if not a or len(coeffs) < 2:
             vals = [_make(x[0][0].numerator, 0, x[0][0].denominator) if x else None for x in coeffs]
@@ -892,6 +894,7 @@ class PuiseuxField:
         return not x
 
     def valuation(self, x: PuiseuxElem) -> Magnitude:
+        """``rho`` to the first exponent of ``x``, which must be canonical."""
         if not x:
             return Magnitude.zero()
         return Magnitude.finite(Exponent(x[0][0]))

@@ -31,6 +31,7 @@ from .line import (
     SkeletonGraph,
     SkeletonVertex,
     Type1Point,
+    _anchor,
     classify,
     convex_hull,
 )
@@ -153,18 +154,17 @@ class CoverSkeleton:
 
 
 def _roots_below(hull: SkeletonGraph) -> List[int]:
-    """Number of marked leaves (the roots) in each vertex's subtree,
-    from one pass down the tree and the sums back up."""
-    kids: List[List[int]] = [[] for _ in hull.vertices]
-    for e in hull.edges:
-        kids[e.v].append(e.u)
-    children = {e.u for e in hull.edges}
-    order = [next(v.id for v in hull.vertices if v.id not in children)]
-    for vid in order:
-        order.extend(kids[vid])
-    below = [0] * len(hull.vertices)
-    for vid in reversed(order):
-        below[vid] = (vid in hull.marked) + sum(below[c] for c in kids[vid])
+    """Number of marked leaves (the roots) in each vertex's subtree.
+
+    :func:`convex_hull` splits a disc's inputs by ``D < R``, so each
+    vertex has a strictly smaller radius than its parent.  Taking the
+    edges in increasing radius of their lower end ``u`` therefore takes
+    every edge below ``u`` before ``u``'s own, and ``below[u]`` is whole
+    when it is added into its parent's count.
+    """
+    below = [int(v.id in hull.marked) for v in hull.vertices]
+    for e in sorted(hull.edges, key=lambda e: _anchor(hull.vertices[e.u].point)[1]):
+        below[e.v] += below[e.u]
     return below
 
 

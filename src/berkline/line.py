@@ -36,7 +36,7 @@ from .exponents import (
     parse_exponent,
 )
 from .fields import ValuedField
-from .polynomials import Poly, dominant_terms, hasse_derivative
+from .polynomials import Poly, dominant_terms
 
 
 # ---------------------------------------------------------------------
@@ -249,9 +249,14 @@ def eval_seminorm(f: Poly, x: Point) -> Magnitude:
 def torus_retract(f: Poly, x: Point, t: Magnitude) -> Magnitude:
     """Sup of ``|f|`` over the closed disc of radius ``t`` around ``x``.
 
-    Computed without moving the point: the value is the largest
-    ``|D_i f(x)| * t**i`` over the Hasse derivatives, which reduces a
-    two-dimensional sup to finitely many seminorm evaluations.
+    That is ``max_i |D_i f|_x * t**i`` over the Hasse derivatives, and
+    equals the Gauss norm of ``f`` on ``E(a, max(r, t))`` for
+    ``x = E(a, r)`` (``r = 0`` at a type-1 point), on every backend,
+    trivially valued ones included.  With ``g = f(T + a)``,
+    ``|D_i f|_x = max_{j>=i} |C(j, i) g_j| * r**(j-i)``.  Since
+    ``|C(j, i)| <= 1``, every term is at most ``|g_j| * max(r, t)**j``;
+    the term ``j = i`` attains that bound when ``t > r``, and the term
+    ``i = 0`` when ``t <= r``.
     """
     if t.is_zero:
         raise DomainError("retraction radius must be positive")
@@ -259,14 +264,8 @@ def torus_retract(f: Poly, x: Point, t: Magnitude) -> Magnitude:
         raise DomainError("retraction is not defined for chain points")
     if f.is_zero:
         return Magnitude.zero()
-    best = Magnitude.zero()
-    tpow = Magnitude.unit()
-    for i in range(f.degree + 1):
-        term = eval_seminorm(hasse_derivative(f, i), x) * tpow
-        if term > best:
-            best = term
-        tpow = tpow * t
-    return best
+    a, r = _anchor(x)
+    return eval_seminorm(f, DiscPoint(x.field, a, mag_max(r, t)))
 
 
 # ---------------------------------------------------------------------

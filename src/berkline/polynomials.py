@@ -197,10 +197,7 @@ def dominant_terms(f: Poly, a, r: Magnitude):
 
 
 def derivative(f: Poly) -> Poly:
-    k = f.field
-    return Poly.make(
-        k, [k.mul(k.from_int(i), f.coeffs[i]) for i in range(1, len(f.coeffs))]
-    )
+    return hasse_derivative(f, 1)  # C(n, 1) = n
 
 
 def hasse_derivative(f: Poly, i: int) -> Poly:

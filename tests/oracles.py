@@ -15,6 +15,7 @@ from berkline import (
     DiscPoint,
     DomainError,
     Exponent,
+    Magnitude,
     Path,
     PathSegment,
     Poly,
@@ -25,7 +26,9 @@ from berkline import (
     add_lengths,
     classify,
     convex_hull,
+    eval_seminorm,
     format_point,
+    hasse_derivative,
     is_constant_times_square,
     join,
     point_eq,
@@ -155,6 +158,25 @@ def reference_retract_to_hull(x, g):
     if any(g.vertex(e.v).point is None for e in g.edges):
         return join(x, top.point)
     return top.point
+
+
+def reference_torus_retract(f, x, t):
+    """The sup of ``|f|`` over the disc of radius ``t`` around ``x`` as
+    ``max_i |D_i f|_x * t**i``: one seminorm per Hasse derivative."""
+    if t.is_zero:
+        raise DomainError("retraction radius must be positive")
+    if isinstance(x, ChainPoint):
+        raise DomainError("retraction is not defined for chain points")
+    if f.is_zero:
+        return Magnitude.zero()
+    best = Magnitude.zero()
+    tpow = Magnitude.unit()
+    for i in range(f.degree + 1):
+        term = eval_seminorm(hasse_derivative(f, i), x) * tpow
+        if term > best:
+            best = term
+        tpow = tpow * t
+    return best
 
 
 def synthetic_shift(k, coeffs, a) -> list:

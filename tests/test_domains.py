@@ -69,15 +69,6 @@ def test_member_everything_and_exactness():
     assert member(chain, to_domain(UNIT_DISC))
 
 
-def test_strict_inequalities_cut_open_discs():
-    one = Poly.constant(Q5, Q5.one)
-    var = parse_poly(Q5, "T")
-    open_disc = Domain((Inequality(var, one, MAG_ONE, Rel.LEQ, strict=True),))
-    assert not member(GAUSS, open_disc)
-    assert member(Type1Point(Q5, Fraction(0)), open_disc)
-    assert member(Type1Point(Q5, Fraction(5)), open_disc)
-
-
 def test_domain_classification():
     one = Poly.constant(Q5, Q5.one)
     var = parse_poly(Q5, "T")

@@ -346,7 +346,7 @@ def test_root_counts_match_containment():
     rng = random.Random(157)
     for _ in range(25):
         field = LSER if rng.random() < 0.5 else Q5
-        pts = [Type1Point(field, r) for r in distinct_roots(rng, field, rng.randint(1, 9))]
+        pts = [Type1Point(field, r) for r in distinct_roots(rng, field, rng.randint(1, 24))]
         hull = convex_hull(pts)
         below = _roots_below(hull)
         for v in hull.vertices:

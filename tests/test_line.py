@@ -8,6 +8,7 @@ from unittest.mock import patch
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import berkline.line as line_module
 from berkline import (
     INF,
     BranchData,
@@ -22,6 +23,8 @@ from berkline import (
     PAdicField,
     ParseError,
     PointClass,
+    Poly,
+    TrivialField,
     Type1Point,
     classify,
     components_count,
@@ -31,6 +34,7 @@ from berkline import (
     eval_seminorm,
     format_point,
     join,
+    parse_field,
     parse_point,
     parse_poly,
     path,
@@ -49,6 +53,7 @@ from oracles import (
     reference_path,
     reference_retract_to_hull,
     reference_top_vertex,
+    reference_torus_retract,
 )
 
 
@@ -191,6 +196,58 @@ def test_torus_retract():
         torus_retract(parse_poly(Q5, "T"), _chain3(), fin(1))
     with pytest.raises(DomainError):
         torus_retract(parse_poly(Q5, "T"), GAUSS, Magnitude.zero())
+    # a zero polynomial is zero before any field check; others are checked
+    assert torus_retract(parse_poly(LSER, "0"), GAUSS, fin(1)) == Magnitude.zero()
+    with pytest.raises(DomainError):
+        torus_retract(parse_poly(LSER, "T"), GAUSS, fin(1))
+
+
+@st.composite
+def _torus_case(draw, field):
+    """``(f, a, r, gap)``: a nonzero ``f`` of degree below 7, a center
+    ``a``, a rational or irrational radius ``r`` and a positive exponent
+    ``gap`` to put ``t`` below and above ``r``."""
+    element = _element_of(field)
+    lead = draw(element.filter(lambda c: not field.is_zero(c)))
+    f = Poly.make(field, draw(st.lists(element, max_size=6)) + [lead])
+    gap = Exponent(draw(st.sampled_from((Fraction(1, 3), 1, 2))), draw(st.sampled_from((0, 1))))
+    return f, draw(element), draw(_radius_of()), gap
+
+
+@pytest.mark.parametrize("selector", ["padic:5", "puiseux:Q", "puiseux:F5", "trivial:F7"])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_torus_retract_matches_the_hasse_reference(selector, data):
+    """One Gauss norm on ``E(a, max(r, t))`` against the largest
+    ``|D_i f|_x * t**i`` over the Hasse derivatives, at the type-1 point
+    ``a`` and at ``E(a, r)`` with ``t`` above, at and below ``r``, for
+    the drawn ``f``, zero and one."""
+    field = parse_field(selector)
+    f, a, r, gap = data.draw(_torus_case(field))
+    cases = [(Type1Point(field, a), r)] + [
+        (DiscPoint(field, a, r), Magnitude.finite(r.exponent + gap.scale(s))) for s in (-1, 0, 1)
+    ]
+    for x, t in cases:
+        for g in (f, Poly.make(field, []), Poly.make(field, [field.one])):
+            assert torus_retract(g, x, t) == reference_torus_retract(g, x, t)
+
+
+def test_torus_retract_reads_one_disc():
+    """One ``dominant_terms`` call at a type-1 point and at a disc point:
+    no Hasse derivative is evaluated."""
+    calls = []
+    real = line_module.dominant_terms
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    f = parse_poly(Q5, "T^4 + 5*T + 1")
+    with patch.object(line_module, "dominant_terms", counting):
+        for x in (pt1(Q5, "2"), DiscPoint(Q5, Fraction(2), fin(1))):
+            calls.clear()
+            torus_retract(f, x, fin(-1))
+            assert len(calls) == 1, x
 
 
 # -- tree order, joins, paths -----------------------------------------
@@ -454,10 +511,13 @@ def _element_of(draw, field):
     if isinstance(field, PAdicField):
         unit = Fraction(draw(st.integers(-40, 40)), draw(st.sampled_from((1, 2, 3, 7))))
         return unit * Fraction(field.p) ** draw(st.integers(-2, 3))
+    if isinstance(field, TrivialField):
+        return field.base.from_int(draw(st.integers(-3, 5)))
     x = field.zero
     exponents = st.builds(Fraction, st.integers(-6, 9), st.sampled_from((1, 2, 3)))
     for g in draw(st.lists(exponents, max_size=3)):
-        x = field.add(x, field.monomial(g, Fraction(draw(st.sampled_from((-3, -1, 1, 2, 5))))))
+        c = field.base.from_int(draw(st.sampled_from((-3, -1, 1, 2, 5))))
+        x = field.add(x, field.monomial(g, c))
     return x
 
 
