@@ -17,17 +17,10 @@ import re
 from enum import Enum
 from typing import Tuple, Union
 
-from .errors import DomainError, ParseError, record, split_top
-from .exponents import Magnitude, format_exponent, format_magnitude, parse_exponent
+from .errors import DomainError, ParseError, read_pair, record, split_top
+from .exponents import Magnitude, format_exponent, format_magnitude, mag_max, parse_exponent
 from .fields import ValuedField
-from .line import (
-    ChainPoint,
-    DiscPoint,
-    Point,
-    Type1Point,
-    eval_seminorm,
-    point_eq,
-)
+from .line import ChainPoint, DiscPoint, Point, _anchor, eval_seminorm, point_eq
 from .polynomials import Poly, format_poly, parse_poly
 
 
@@ -171,8 +164,7 @@ class DiscMinusHoles:
             for j in range(i + 1, len(self.holes)):
                 ai, ri = self.holes[i]
                 aj, rj = self.holes[j]
-                bigger = ri if rj <= ri else rj
-                if k.valuation(k.sub(ai, aj)) < bigger:
+                if k.valuation(k.sub(ai, aj)) < mag_max(ri, rj):
                     raise DomainError("holes must be pairwise disjoint")
 
 
@@ -261,12 +253,7 @@ def reduce_point(x: Point):
     is exact as soon as that disc has radius below one.
     """
     k = x.field
-    if isinstance(x, Type1Point):
-        center, radius = x.center, Magnitude.zero()
-    elif isinstance(x, DiscPoint):
-        center, radius = x.center, x.radius
-    else:
-        center, radius = x.discs[-1]
+    center, radius = _anchor(x, -1)
     unit = Magnitude.unit()
     if not radius <= unit or not k.valuation(center) <= unit:
         raise DomainError("reduction is defined on the unit disc only")
@@ -331,8 +318,6 @@ def parse_domain(field: ValuedField, text: str) -> Domain:
                 rel,
             )
         )
-    if not ineqs:
-        raise ParseError("domain", text, "no inequalities found")
     return Domain(tuple(ineqs))
 
 
@@ -355,57 +340,40 @@ def format_standard_domain(sd: StandardDomain) -> str:
     return f"disc_holes({k.format_element(sd.center)}; {e(sd.radius)}; {holes})"
 
 
+# Each standard shape: its number of ``;`` parts and the reason given
+# when the count is wrong.
+_SHAPES = {
+    "closed_disc": (2, "expected (a; e)"),
+    "annulus": (2, "expected (a; e_inner, e_outer)"),
+    "disc_holes": (3, "expected (a; e; (a1; e1), ...)"),
+}
+
+
 def parse_standard_domain(field: ValuedField, text: str) -> StandardDomain:
+    rule = "standard-domain"
     s = "".join(text.split())
-    for name in ("closed_disc", "annulus", "disc_holes"):
-        if s.startswith(name + "(") and s.endswith(")"):
-            body = s[len(name) + 1 : -1]
-            parts = split_top(body, ";", "standard-domain", text)
-            try:
-                if name == "closed_disc":
-                    if len(parts) != 2:
-                        raise ParseError("standard-domain", text, "expected (a; e)")
-                    return ClosedDisc(
-                        field,
-                        field.parse_element(parts[0]),
-                        Magnitude.finite(parse_exponent(parts[1])),
-                    )
-                if name == "annulus":
-                    if len(parts) != 2:
-                        raise ParseError(
-                            "standard-domain", text, "expected (a; e_inner, e_outer)"
-                        )
-                    exps = split_top(parts[1], ",", "standard-domain", text)
-                    if len(exps) != 2:
-                        raise ParseError(
-                            "standard-domain", text, "expected two radius exponents"
-                        )
-                    return Annulus(
-                        field,
-                        field.parse_element(parts[0]),
-                        Magnitude.finite(parse_exponent(exps[0])),
-                        Magnitude.finite(parse_exponent(exps[1])),
-                    )
-                if len(parts) != 3:
-                    raise ParseError(
-                        "standard-domain", text, "expected (a; e; (a1; e1), ...)"
-                    )
-                holes = []
-                for item in split_top(parts[2], ",", "standard-domain", text):
-                    if not (item.startswith("(") and item.endswith(")")) or ";" not in item:
-                        raise ParseError(
-                            "standard-domain", text, f"bad hole {item!r}"
-                        )
-                    ac, ec = item[1:-1].split(";", 1)
-                    holes.append(
-                        (field.parse_element(ac), Magnitude.finite(parse_exponent(ec)))
-                    )
-                return DiscMinusHoles(
-                    field,
-                    field.parse_element(parts[0]),
-                    Magnitude.finite(parse_exponent(parts[1])),
-                    tuple(holes),
-                )
-            except DomainError as exc:
-                raise ParseError("standard-domain", text, str(exc)) from None
-    raise ParseError("standard-domain", text)
+    name, _, body = s.partition("(")
+    if name not in _SHAPES or not body.endswith(")"):
+        raise ParseError(rule, text)
+    count, usage = _SHAPES[name]
+    parts = split_top(body[:-1], ";", rule, text)
+    if len(parts) != count:
+        raise ParseError(rule, text, usage)
+    try:
+        if name == "annulus":
+            radii = split_top(parts[1], ",", rule, text)
+            if len(radii) != 2:
+                raise ParseError(rule, text, "expected two radius exponents")
+            center = field.parse_element(parts[0])
+            return Annulus(field, center, *[Magnitude(parse_exponent(e)) for e in radii])
+        holes = []
+        if name == "disc_holes":
+            for item in split_top(parts[2], ",", rule, text):
+                a, e = read_pair(item, rule, text, "hole")
+                holes.append((field.parse_element(a), Magnitude(parse_exponent(e))))
+        center, radius = field.parse_element(parts[0]), Magnitude(parse_exponent(parts[1]))
+        if name == "closed_disc":
+            return ClosedDisc(field, center, radius)
+        return DiscMinusHoles(field, center, radius, tuple(holes))
+    except DomainError as exc:
+        raise ParseError(rule, text, str(exc)) from None

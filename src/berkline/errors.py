@@ -1,8 +1,9 @@
 """Exception types shared across the library, the records its values are
 built from, the text layer every grammar reads through (one scanner for
-parentheses with the split built on it, and one reader for rational and
-integer literals), every bound on exact work, and the primality test and
-integer valuations that the p-adic fields and the spectrum of Z share.
+parentheses with the split and the ``(x; y)`` entry reader built on it,
+and one reader for rational and integer literals), every bound on exact
+work, and the primality test and integer valuations that the p-adic
+fields and the spectrum of Z share.
 
 This module imports nothing else of the library, so a command that needs
 only these pieces loads no more."""
@@ -150,6 +151,18 @@ def split_top(text: str, seps: str, rule: str, original: str) -> list:
     if any(p in ("", "-") for p in parts):
         raise ParseError(rule, original, "empty part")
     return parts
+
+
+def read_pair(item: str, rule: str, original: str, what: str) -> tuple:
+    """The two sides of a ``(x; y)`` list entry, cut at its first ``;``.
+
+    Any other shape is a :class:`ParseError` naming ``rule`` and
+    ``original``, with the reason ``bad <what> <item>``.
+    """
+    left, sep, right = item[1:-1].partition(";")
+    if not (item.startswith("(") and item.endswith(")") and sep):
+        raise ParseError(rule, original, f"bad {what} {item!r}")
+    return left, right
 
 
 # ---------------------------------------------------------------------

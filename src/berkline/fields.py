@@ -666,8 +666,6 @@ class PAdicField(_OverBase):
 
     def valuation(self, x) -> Magnitude:
         """``rho**(v_p(num) - v_p(den))``, or zero for ``x == 0``."""
-        if not isinstance(x, (Fraction, int)):
-            x = Fraction(x)
         if x == 0:
             return MAG_ZERO
         return int_magnitude(_vp(x, self.p))
@@ -898,11 +896,6 @@ class PuiseuxField:
         if not x:
             return Magnitude.zero()
         return Magnitude.finite(Exponent(x[0][0]))
-
-    def leading_coefficient(self, x: PuiseuxElem):
-        if not x:
-            raise DomainError("zero has no leading coefficient")
-        return x[0][1]
 
     def residue(self, x: PuiseuxElem):
         if not x:

@@ -105,10 +105,11 @@ def fiber_count(bd: BranchData, x: Point, strict_squares: bool = False):
         return k.residue_of_quotient(c, k.element_with_valuation(k.valuation(c).exponent))
 
     if t == 3:
-        # one dominant term g_i * T**i, a square when i is even and, over
-        # the field itself, the unit part of g_i is a square
-        if len(dominant) != 1:
-            raise DomainError("irrational radius must single out one dominant term")
+        # one dominant term g_i * T**i: indices i != j tie only where
+        # (i - j) * e_r = v(g_j) - v(g_i), and a type-3 e_r is irrational
+        # (nonzero over a trivially valued field, where every v(g_i) = 0).
+        # It is a square when i is even and, over the field itself, the
+        # unit part of g_i is a square
         if dominant[0] % 2 == 1:
             return 1
         e_square = k.valuation(lowest[0]).exponent

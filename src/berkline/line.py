@@ -22,7 +22,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import Optional, Tuple, Union
 
-from .errors import DomainError, Frozen, ParseError, record, split_top
+from .errors import DomainError, Frozen, ParseError, read_pair, record, split_top
 from .exponents import (
     INF,
     Exponent,
@@ -115,10 +115,9 @@ class ChainPoint(Frozen):
                 if k.valuation(k.sub(center, pc)) > pr:
                     raise DomainError("chain discs must be nested")
             prev = (center, radius)
-        if self.limit_exponent is not None:
-            for _, radius in self.discs:
-                if not self.limit_exponent > radius.exponent:
-                    raise DomainError("limit radius must sit below every listed disc")
+        # ``radius`` is now the last listed radius, the smallest, as they strictly decrease
+        if self.limit_exponent is not None and not self.limit_exponent > radius.exponent:
+            raise DomainError("limit radius must sit below every listed disc")
 
     def __repr__(self):
         return (
@@ -140,18 +139,21 @@ _set_radius = DiscPoint.radius.__set__
 Point = Union[Type1Point, DiscPoint, ChainPoint]
 
 
-def _anchor(x: Point):
-    """(center, radius) of the disc that stands in for ``x`` in tree ops.
+def _anchor(x: Point, i: int = 0):
+    """(center, radius) of the disc that stands in for ``x``: its own
+    disc, of radius zero at a type-1 point, and a chain's listed disc
+    ``i``.
 
-    Chains are represented by their outermost listed disc, which is
+    Tree operations take a chain's outermost disc (``i = 0``), which is
     exact whenever the other point leaves that disc and an upper
-    approximation otherwise.
+    approximation otherwise; seminorms and reduction take its innermost
+    (``i = -1``).
     """
     if isinstance(x, Type1Point):
         return x.center, Magnitude.zero()
     if isinstance(x, DiscPoint):
         return x.center, x.radius
-    return x.discs[0]
+    return x.discs[i]
 
 
 def _same_field(x: Point, y) -> ValuedField:
@@ -212,13 +214,9 @@ class RadiusInfo:
 
 
 def point_radius(x: Point) -> RadiusInfo:
-    if isinstance(x, Type1Point):
-        return RadiusInfo(Magnitude.zero(), True)
-    if isinstance(x, DiscPoint):
-        return RadiusInfo(x.radius, True)
-    if x.limit_exponent is not None:
-        return RadiusInfo(Magnitude.finite(x.limit_exponent), True)
-    return RadiusInfo(x.discs[-1][1], False)
+    if isinstance(x, ChainPoint) and x.limit_exponent is not None:
+        return RadiusInfo(Magnitude(x.limit_exponent), True)
+    return RadiusInfo(_anchor(x, -1)[1], not isinstance(x, ChainPoint))
 
 
 def seminorm_is_exact(x: Point) -> bool:
@@ -242,7 +240,7 @@ def eval_seminorm(f: Poly, x: Point) -> Magnitude:
         raise DomainError("polynomial and point fields differ")
     if isinstance(x, Type1Point):
         return x.field.valuation(f.evaluate(x.center))
-    center, radius = (x.center, x.radius) if isinstance(x, DiscPoint) else x.discs[-1]
+    center, radius = _anchor(x, -1)
     return Magnitude(dominant_terms(f, center, radius)[0])
 
 
@@ -612,11 +610,9 @@ def parse_point(field: ValuedField, text: str) -> Point:
         if ";" not in body:
             raise ParseError("point", text, "disc needs a center and an exponent")
         elem, exp = body.split(";", 1)
-        radius = Magnitude.finite(parse_exponent(exp))
-        try:
-            return DiscPoint(field, field.parse_element(elem), radius)
-        except DomainError as exc:
-            raise ParseError("point", text, str(exc)) from None
+        # a parsed radius is rho**e, never zero, so DiscPoint accepts it
+        radius = Magnitude(parse_exponent(exp))
+        return DiscPoint(field, field.parse_element(elem), radius)
     if s.startswith("chain[") and s.endswith("]"):
         body = s[6:-1]
         limit = None
@@ -625,12 +621,8 @@ def parse_point(field: ValuedField, text: str) -> Point:
             limit = parse_exponent(limit_text)
         discs = []
         for item in split_top(body, ",", "point", text):
-            if not (item.startswith("(") and item.endswith(")")) or ";" not in item:
-                raise ParseError("point", text, f"bad chain entry {item!r}")
-            exp, elem = item[1:-1].split(";", 1)
-            discs.append(
-                (field.parse_element(elem), Magnitude.finite(parse_exponent(exp)))
-            )
+            exp, elem = read_pair(item, "point", text, "chain entry")
+            discs.append((field.parse_element(elem), Magnitude(parse_exponent(exp))))
         try:
             return ChainPoint(field, tuple(discs), limit)
         except DomainError as exc:

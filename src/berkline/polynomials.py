@@ -222,14 +222,6 @@ def hasse_derivative(f: Poly, i: int) -> Poly:
 # Newton polygon
 
 
-def _rational_exponent(field: ValuedField, c) -> Fraction:
-    mag = field.valuation(c)
-    e = mag.exponent
-    if not e.is_rational():
-        raise DomainError("field magnitudes must have rational exponents")
-    return e.a
-
-
 def newton_slopes(f: Poly) -> tuple:
     """Multiset of root magnitudes, smallest first, from the lower hull.
 
@@ -244,8 +236,9 @@ def newton_slopes(f: Poly) -> tuple:
     while k.is_zero(f.coeffs[v0]):
         v0 += 1
     mags = [Magnitude.zero()] * v0
+    # valuations of field elements are rational on every backend
     pts = [
-        (i - v0, _rational_exponent(k, f.coeffs[i]))
+        (i - v0, k.valuation(f.coeffs[i]).exponent.a)
         for i in range(v0, len(f.coeffs))
         if not k.is_zero(f.coeffs[i])
     ]

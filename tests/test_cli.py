@@ -125,6 +125,31 @@ def invoke(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def test_generic_reduction_and_cover_dot_in_process():
+    # two answers that no fixture prints: the generic point of a
+    # reduction, and the DOT graph of a cover skeleton
+    assert invoke(["reduce", "--field", "padic:5", "disc(0; 0)"]) == (
+        0, '{"generic": true, "status": "ok"}\n', ""
+    )
+    code, out, err = invoke(["hyper", "--field", "padic:5", "--roots", "0,1,5", "--dot"])
+    assert (code, err) == (0, "")
+    assert out == (
+        "graph cover {\n"
+        '  n0 [label="disc(0; 0) t2 g0"];\n'
+        '  n1 [label="disc(0; 1) t2 g0"];\n'
+        '  n2 [label="pt1(0) t1 g0 *"];\n'
+        '  n3 [label="pt1(1) t1 g0 *"];\n'
+        '  n4 [label="pt1(5) t1 g0 *"];\n'
+        '  n5 [label="inf t1 g0"];\n'
+        '  n1 -- n0 [len="1"];\n'
+        '  n2 -- n1 [len="inf"];\n'
+        '  n3 -- n0 [len="inf"];\n'
+        '  n4 -- n1 [len="inf"];\n'
+        '  n0 -- n5 [len="inf"];\n'
+        "}\n"
+    )
+
+
 def test_fixture_outputs_are_frozen():
     for argv, expected in FIXTURES:
         code, out, err = invoke(argv)

@@ -271,19 +271,34 @@ def test_standard_grammar_roundtrip():
         field = LSER if "t" in text.split(";")[0] else Q5
         sd = parse_standard_domain(field, text)
         assert format_standard_domain(sd) == text
-    with pytest.raises(ParseError):
-        parse_standard_domain(Q5, "annulus(0; 1)")
-    with pytest.raises(ParseError):
-        parse_standard_domain(Q5, "square(0; 1)")
-    for text, reason in (
-        ("closed_disc(0)", "expected (a; e)"),
-        ("annulus(0)", "expected (a; e_inner, e_outer)"),
-        ("disc_holes(0; 0)", "expected (a; e; (a1; e1), ...)"),
-        ("disc_holes(0; 0; 1)", "bad hole '1'"),
+    # (text, rule, reason, reported text); None reports the whole text
+    element = ("p-adic element", "expected an integer or a fraction n/d")
+    for text, rule, reason, reported in (
+        ("closed_disc(0)", "standard-domain", "expected (a; e)", None),
+        ("annulus(0)", "standard-domain", "expected (a; e_inner, e_outer)", None),
+        ("annulus(0; 1)", "standard-domain", "expected two radius exponents", None),
+        ("annulus(x; 1, 0, 2)", "standard-domain", "expected two radius exponents", None),
+        ("annulus(0; 0, 1)", "standard-domain", "annulus needs inner radius <= outer radius", None),
+        ("disc_holes(0; 0)", "standard-domain", "expected (a; e; (a1; e1), ...)", None),
+        ("disc_holes(0; 0; 1)", "standard-domain", "bad hole '1'", None),
+        ("disc_holes(x; 0; 1)", "standard-domain", "bad hole '1'", None),
+        ("disc_holes(x; 0; (y; 1))", *element, "y"),
+        ("disc_holes(0; 0; (0;1)x)", "standard-domain", "bad hole '(0;1)x'", None),
+        ("disc_holes(0; 0; ((0;1)))", *element, "(0"),
+        ("disc_holes(0; 1; (0; 0))", "standard-domain", "holes must sit inside the disc", None),
+        ("disc_holes(0; 0; (0; 1), (0; 1))", "standard-domain",
+         "holes must be pairwise disjoint", None),
+        ("closed_disc(x; 1)", *element, "x"),
+        ("closed_disc()", "standard-domain", "empty part", None),
+        ("closed_disc(0;1))", "standard-domain", "unbalanced parentheses", None),
+        ("closed_disc(0;1)x", "standard-domain", "", None),
+        ("closed_disc(", "standard-domain", "", None),
+        ("square(0; 1)", "standard-domain", "", None),
     ):
         with pytest.raises(ParseError) as info:
             parse_standard_domain(Q5, text)
-        assert (info.value.rule, info.value.reason) == ("standard-domain", reason), text
+        got = (info.value.rule, info.value.reason, info.value.text)
+        assert got == (rule, reason, text if reported is None else reported), text
 
 
 def test_membership_over_puiseux():

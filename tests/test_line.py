@@ -662,7 +662,31 @@ def test_point_text_roundtrip():
     assert format_point(y) == "disc(t^(1/2); 3/2)"
 
 
+# (text, rule, reason, reported text); None reports the whole text
+_POINT_ERRORS = [
+    ("disc(0 1/2)", "point", "disc needs a center and an exponent", None),
+    ("pt1()", "p-adic element", "expected an integer or a fraction n/d", ""),
+    ("blob(3)", "point", "", None),
+    ("disc(0;1)x", "point", "", None),
+    ("disc(0; )", "exponent", "", ""),
+    ("chain[]", "point", "empty part", None),
+    ("chain[(0;0);limit=0]", "point", "limit radius must sit below every listed disc", None),
+    ("chain[(1;0),(2;5);limit=1]", "point", "limit radius must sit below every listed disc", None),
+    ("chain[(0;0);limit=1;limit=2]", "point", "bad chain entry '(0;0);limit=1'", None),
+    ("chain[(0;0)x]", "point", "bad chain entry '(0;0)x'", None),
+    ("chain[0;0]", "point", "bad chain entry '0;0'", None),
+    ("chain[(0)]", "point", "bad chain entry '(0)'", None),
+    ("chain[(0;x)]", "p-adic element", "expected an integer or a fraction n/d", "x"),
+    ("chain[((0;0))]", "p-adic element", "expected an integer or a fraction n/d", "0)"),
+    ("chain[(0;0),(0;1)]", "point", "chain radii must strictly decrease", None),
+    ("chain[(0;0),(1;1/5)]", "point", "chain discs must be nested", None),
+    ("chain[(0;0));limit=1]", "point", "unbalanced parentheses", None),
+]
+
+
 def test_point_parse_errors():
-    for bad in ("disc(0 1/2)", "pt1()", "blob(3)", "chain[]", "disc(0; )"):
-        with pytest.raises(ParseError):
-            parse_point(Q5, bad)
+    for text, rule, reason, reported in _POINT_ERRORS:
+        with pytest.raises(ParseError) as info:
+            parse_point(Q5, text)
+        got = (info.value.rule, info.value.reason, info.value.text)
+        assert got == (rule, reason, text if reported is None else reported), text

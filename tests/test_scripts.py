@@ -5,8 +5,11 @@ output byte for byte as recorded here.  ``skeleton_gallery.py`` runs
 the polynomial kernels (the product in ``from_roots`` and the fiber
 counts of ``cover_skeleton``) over ``puiseux:Q`` and ``padic:5``;
 ``mz_convergence.py`` runs the n-adic norms of the spectrum of Z.
+The statement tracer ``unreached.py`` is checked in process on a small
+module.
 """
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -231,3 +234,37 @@ def test_script_output_frozen(argv, expected):
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout == expected
+
+
+_SAMPLE = '''\
+"""A module whose one negative branch is never taken."""
+import os
+
+
+def sign(x):
+    """Docstring, not counted."""
+    if x < 0:
+        return -1
+    return (
+        1
+    )
+'''
+
+
+def test_unreached_names_the_one_statement_never_run(tmp_path):
+    spec = importlib.util.spec_from_file_location("unreached", ROOT / "scripts" / "unreached.py")
+    unreached = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(unreached)
+    (tmp_path / "sample.py").write_text(_SAMPLE)
+    sample = importlib.util.spec_from_file_location("sample", tmp_path / "sample.py")
+
+    def run():
+        module = importlib.util.module_from_spec(sample)
+        sample.loader.exec_module(module)
+        assert module.sign(2) == 1
+
+    missed, total = unreached.unreached(tmp_path, unreached.collect(run, tmp_path))
+    assert total == 3
+    assert [(path.name, line, text) for path, line, text in missed] == [
+        ("sample.py", 8, "return -1")
+    ]
