@@ -32,12 +32,19 @@ denominators cleared once per factor, over F_p reduced mod ``p`` as
 values are stored.  ``padic`` and ``trivial`` backends bind them, and
 the element arithmetic, from their base at construction.  Puiseux
 fields run them on integer exponent keys through the base's keyed
-kernels, which return int rows and their scale;
-:func:`_from_int_keys` lowers those rows to elements.  ``lowest_terms``
-reads each row's least key and the value there through the base's
-``lowest_keyed`` (over Q off rows packed one int per row unless one
-would be wider than ``MAX_EXACT_BITS``, over F_p off the dict rows),
-and lowers one term of each row it is asked for.
+kernels, which take and return int rows (dicts with no zero values,
+reduced mod ``p`` over F_p) and their scale: elements are keyed and
+lifted to ints once, on the way in, and :func:`_from_int_keys` lowers
+rows to elements.  ``keyed_product`` keeps a product on that form, as
+:class:`KeyedRows`, which a :class:`~berkline.polynomials.Poly` made
+by ``Poly.product`` holds until its ``coeffs`` are first read.
+``lowest_terms`` reads each row's least key and the value there,
+through the base's ``lowest_keyed`` when it shifts (over Q off rows
+packed one int per row unless one would be wider than
+``MAX_EXACT_BITS``, over F_p off the dict rows), from coefficients or
+from :class:`KeyedRows` as they are, and lowers one term of each row
+it is asked for.  Sweeps and products are refused up front when their
+estimated term operations are past ``MAX_TERM_WORK``.
 """
 
 from __future__ import annotations
@@ -89,9 +96,11 @@ class _IntKernels:
     field itself, and through forwarding over ``padic`` and ``trivial``
     backends.  Keyed rows serve Puiseux sums with this base: each
     coefficient is a list of ``(int key, base coefficient)`` terms, the
-    keys scaled by :func:`_int_keys`, and comes back as a dict of int
-    values, not lowered, with the scale to lower it at.  Products
-    multiply one or more factors in order, from the first.
+    keys scaled by :func:`_int_keys`.  The sweeps take them lifted by
+    :func:`_lift_keyed`, as ``(int key, int value)`` pairs at one scale
+    (lists, or the items of int dicts), and every kernel returns rows as
+    dicts of int values, not lowered, with the scale to lower them at.
+    Products multiply one or more factors in order, from the first.
     """
 
     def taylor_shift_coeffs(self, coeffs, a, count) -> list:
@@ -179,23 +188,22 @@ class _IntKernels:
             out.append(row)
         return out
 
-    def shift_keyed(self, shift, rows, count):
+    def shift_keyed(self, shift, D, rows, L, count):
         """:meth:`taylor_shift_coeffs` term by term on keyed rows, without
-        the lowering: one scale lifts every term of the rows, the sweep
-        folds ``D*a`` in with one int product per pair of terms, and zeros
-        (over F_p, after the reduction) are dropped once per row update.
-        A fold from an empty row adds nothing and is skipped, so over F_p,
-        where most rows of a full sweep vanish (Lucas' theorem on the
-        binomials), the sweep costs only its nonzero rows.  Over Q the
-        same size bound applies, with ``A`` the sum of the numerators of
-        ``D*a``.
+        the lowering: the terms of ``D*a`` and of the rows as int pairs,
+        at the scales ``D`` and ``L`` (see :func:`_lift_keyed`).  The
+        sweep folds ``D*a`` in with one int product per pair of terms, and
+        zeros (over F_p, after the reduction) are dropped once per row
+        update.  A fold from an empty row adds
+        nothing and is skipped, so over F_p, where most rows of a full
+        sweep vanish (Lucas' theorem on the binomials), the sweep costs
+        only its nonzero rows.  Over Q the same size bound applies, with
+        ``A`` the sum of the numerators of ``D*a``.
 
         Returns the first ``count`` rows as int dicts with no zero values,
         the scale of row 0 and ``D``; row ``i`` is at scale
         ``scale // D**i``."""
         n, m = len(rows), self.char
-        [shift], D = self._lift_rows([shift])
-        rows, L = self._lift_rows(rows)
         rows = self._dict_rows(rows)
         if not m:
             lf_bits = max([c.bit_length() for row in rows for c in row.values()], default=0)
@@ -222,20 +230,20 @@ class _IntKernels:
                     rows[j] = {g: c for g, c in row.items() if c}
         return rows, L * power, D
 
-    def lowest_keyed(self, shift, rows):
+    def lowest_keyed(self, shift, D, rows, L):
         """The lowest term of each row of the full sweep of
         :meth:`shift_keyed`: ``None`` for a zero row, else its least key
         and the int value there, with the scale of row 0 and ``D`` as
         there.  This reader runs the dict sweep, which over F_p stays
         sparse where the binomials vanish mod ``p`` (Lucas' theorem); a
         lift of the rows to Z would lose those zeros and the reduction."""
-        rows, scale, D = self.shift_keyed(shift, rows, len(rows))
+        rows, scale, D = self.shift_keyed(shift, D, rows, L, len(rows))
         return [min(row.items()) if row else None for row in rows], scale, D
 
     def mul_keyed(self, *factors):
         """:meth:`mul_coeffs` term by term on keyed rows, without the
-        lowering: the product's rows as int dicts, all at one scale, and
-        that scale."""
+        lowering: the product's rows as int dicts with no zero values
+        (over F_p reduced mod ``p``), all at one scale, and that scale."""
         m, lift = self.char, self._lift_rows
         xs, den = lift(factors[0])
         if len(factors) == 1:
@@ -257,7 +265,21 @@ class _IntKernels:
                             key = ga + gb
                             row[key] = get(key, 0) + ca * cb
             xs = list(map(dict.items, out))
-        return out, den
+        if m:
+            return [{g: c % m for g, c in row.items() if c % m} for row in out], den
+        return [row if all(row.values()) else {g: c for g, c in row.items() if c}
+                for row in out], den
+
+
+class KeyedRows(tuple):
+    """A list of Puiseux elements held on the keyed kernels' own form,
+    ``(d, rows, scale)``: row ``i`` is an int dict ``{key: value}`` for
+    the element ``sum value/scale * t^(key/d)``, with no zero values
+    (over F_p reduced mod ``p``) and no trailing empty rows.
+    :meth:`PuiseuxField.keyed_product` makes it, and
+    :meth:`PuiseuxField.lowest_terms` reads it as it is."""
+
+    __slots__ = ()
 
 
 def _int_keys(*groups):
@@ -286,16 +308,59 @@ def _from_int_keys(base, d, rows, scale, D=1) -> list:
     return out
 
 
-def _keyed_rows(coeffs, a, count):
+def _lift_keyed(base, shift, rows):
+    """The terms of ``a`` and the rows of :func:`_int_keys` with their
+    values as ints: ``(D*a terms, D, rows, L)``, the input of the base's
+    keyed sweeps."""
+    [shift], D = base._lift_rows([shift])
+    return (shift, D, *base._lift_rows(rows))
+
+
+def _keyed_rows(base, coeffs, a, count):
     """The coefficients of ``f`` and the center ``a`` on int keys for a
-    sweep of ``count`` rows: ``d`` of :func:`_int_keys`, the terms of
-    ``a`` and the rows.  The sweep is refused up front when
+    sweep of ``count`` rows: ``d`` of :func:`_int_keys`, then
+    :func:`_lift_keyed` of them.  The sweep is refused up front when
     :func:`_term_work` is past ``MAX_TERM_WORK``."""
     d, ([shift], rows) = _int_keys((a,), coeffs)
-    work = _term_work(shift, rows, count)
+    _check_work(_term_work(shift, rows, count), "a sweep")
+    return (d, *_lift_keyed(base, shift, rows))
+
+
+def _check_work(work, what) -> None:
     if work > MAX_TERM_WORK:
-        raise DomainError(f"a sweep would need {work} term operations, above {MAX_TERM_WORK}")
-    return d, shift, rows
+        raise DomainError(f"{what} would need {work} term operations, above {MAX_TERM_WORK}")
+
+
+def _product_work(factors) -> int:
+    """An upper bound on the term operations of ``mul_keyed`` on keyed
+    factors: each step costs the terms of the running product times
+    those of the next factor, and a running row holds no more terms than
+    the pairs of terms that reach it or the span of the keys they reach.
+    A product of two factors costs exactly its pairs of terms."""
+    if len(factors) == 2:
+        return sum(map(len, factors[0])) * sum(map(len, factors[1]))
+
+    def spans(factor):
+        return [(min(ks), max(ks), len(ks)) if (ks := [g for g, _ in row]) else None
+                for row in factor]
+
+    xs, work = spans(factors[0]), 0
+    for k, factor in enumerate(factors[1:], 2):
+        ys = spans(factor)
+        work += sum([x[2] for x in xs if x]) * sum([y[2] for y in ys if y])
+        if k == len(factors):
+            break
+        out = [None] * (len(xs) + len(ys) - 1)
+        for i, x in enumerate(xs):
+            if x:
+                for j, y in enumerate(ys, i):
+                    if y:
+                        lo, hi, terms = x[0] + y[0], x[1] + y[1], x[2] * y[2]
+                        if o := out[j]:
+                            lo, hi, terms = min(lo, o[0]), max(hi, o[1]), terms + o[2]
+                        out[j] = lo, hi, terms
+        xs = [o and (o[0], o[1], min(o[2], o[1] - o[0] + 1)) for o in out]
+    return work
 
 
 def _term_work(shift, rows, count) -> int:
@@ -403,7 +468,7 @@ class Rationals(_IntKernels):
 
     _lower = staticmethod(Fraction)
 
-    def lowest_keyed(self, shift, rows):
+    def lowest_keyed(self, shift, D, rows, L):
         """:meth:`_IntKernels.lowest_keyed` from the packed rows of
         :meth:`_packed_sweep` when it packs them, else from the dict
         rows.  A final row with every slot below ``2**(W-1)`` in absolute
@@ -414,9 +479,9 @@ class Rationals(_IntKernels):
         is that slot read as a signed ``W``-bit value (a negative ``c``
         borrows from the slots above it, and the signed reading gives
         the borrow back).  Nothing is unpacked."""
-        sweep = self._packed_sweep(shift, rows)
+        sweep = self._packed_sweep(shift, D, rows, L)
         if sweep is None:
-            return super().lowest_keyed(shift, rows)
+            return super().lowest_keyed(shift, D, rows, L)
         W, lo, final, scale, D = sweep
         half, mask, lows = 1 << (W - 1), (1 << W) - 1, []
         for low, row in zip(lo, final):
@@ -428,7 +493,7 @@ class Rationals(_IntKernels):
                 lows.append(None)
         return lows, scale, D
 
-    def _packed_sweep(self, shift, rows):
+    def _packed_sweep(self, shift, D, rows, L):
         """The full keyed sweep of :meth:`shift_keyed` on packed rows
         (Kronecker substitution; Harvey, arXiv:0712.4046), or ``None``
         where a packed row would be too wide.  Returns ``W``, the key
@@ -462,8 +527,6 @@ class Rationals(_IntKernels):
         :func:`_check_q_size` refuses first, as in :meth:`shift_keyed`,
         which also bounds ``(A1 + D)**(n-1)`` before it is formed."""
         n, m = len(rows), len(rows) - 1
-        [shift], D = self._lift_rows([shift])
-        rows, L = self._lift_rows(rows)
         A1 = sum([abs(c) for _, c in shift])
         l1 = max([sum([abs(c) for _, c in row]) for row in rows])
         _check_q_size(max([c.bit_length() for row in rows for _, c in row]), n, A1, D, n)
@@ -818,31 +881,55 @@ class PuiseuxField:
         """
         if not a or len(coeffs) < 2:
             return list(coeffs[:count])
-        d, shift, rows = _keyed_rows(coeffs, a, count)
-        return _from_int_keys(self.base, d, *self.base.shift_keyed(shift, rows, count))
+        d, *keyed = _keyed_rows(self.base, coeffs, a, count)
+        return _from_int_keys(self.base, d, *self.base.shift_keyed(*keyed, count))
 
     def lowest_terms(self, coeffs, a):
         """The valuation exponent of each coefficient of ``g = f(T + a)``
         (``None`` where it is zero), and ``lowest(i)``, the lowest term of
         ``g_i`` as a monomial: it has the valuation and the leading
-        coefficient of ``g_i``.
+        coefficient of ``g_i``.  ``coeffs`` are elements or a
+        :class:`KeyedRows`, which is read as it is and never lowered.
 
         The sweep is that of :meth:`taylor_shift_coeffs` on the same int
         keys, read by the base field's ``lowest_keyed``, which gives each
         row's least key and its int value (over Q from packed rows, over
         F_p from the dict rows): a row's valuation is that key over
         ``d``, and only the rows that ``lowest`` is asked for lower their
-        value.  Unshifted coefficients (a shift by zero, or of a
-        constant) are read as they are, so they must be canonical, as
+        value.  Keyed rows enter the sweep as they are, their keys scaled
+        by ``lcm(d, den a) / d`` when the center has other exponent
+        denominators.  Unshifted coefficients (a shift by zero, or of a
+        constant) are read as they are: keyed rows by each row's least
+        key, elements by their first term, so they must be canonical, as
         the class defines elements: a repeated exponent that cancels
         would be misread as the lowest term.
         """
-        if not a or len(coeffs) < 2:
+        base = self.base
+        if coeffs.__class__ is KeyedRows:
+            d, rows, L = coeffs
+            if not a or len(rows) < 2:
+                keys = [min(row) if row else None for row in rows]
+
+                def lowest(i):
+                    g = keys[i]
+                    return ((Fraction(g, d), base._lower(rows[i][g], L)),)
+
+                return [None if g is None else _make(g, 0, d) for g in keys], lowest
+            d_a = lcm(d, *[g.denominator for g, _ in a])
+            if d_a > d:
+                e = d_a // d
+                rows = [[(g * e, c) for g, c in row.items()] for row in rows]
+            else:
+                rows = [row.items() for row in rows]
+            d, shift = d_a, [(g.numerator * (d_a // g.denominator), c) for g, c in a]
+            _check_work(_term_work(shift, rows, len(rows)), "a sweep")
+            [shift], D = base._lift_rows([shift])
+        elif not a or len(coeffs) < 2:
             vals = [_make(x[0][0].numerator, 0, x[0][0].denominator) if x else None for x in coeffs]
             return vals, lambda i: coeffs[i][:1]
-        base = self.base
-        d, shift, rows = _keyed_rows(coeffs, a, len(coeffs))
-        lows, scale, D = base.lowest_keyed(shift, rows)
+        else:
+            d, shift, D, rows, L = _keyed_rows(base, coeffs, a, len(coeffs))
+        lows, scale, D = base.lowest_keyed(shift, D, rows, L)
 
         def lowest(i):
             g, c = lows[i]
@@ -850,12 +937,26 @@ class PuiseuxField:
 
         return [_make(low[0], 0, d) if low else None for low in lows], lowest
 
-    def mul_coeffs(self, *factors) -> list:
-        """Schoolbook product of one or more factors on the integer keys of
-        :meth:`taylor_shift_coeffs`, one denominator for all, run by the base
-        field's ``mul_keyed``; the terms are those through ``add`` and ``mul``."""
+    def keyed_product(self, *factors) -> KeyedRows:
+        """The schoolbook product of one or more factors as
+        :class:`KeyedRows`: their exponents on int keys over one
+        denominator, multiplied by the base field's ``mul_keyed``.  A
+        :func:`_product_work` past ``MAX_TERM_WORK`` is refused up front."""
         d, keyed = _int_keys(*factors)
-        return _from_int_keys(self.base, d, *self.base.mul_keyed(*keyed))
+        _check_work(_product_work(keyed), "a product")
+        rows, scale = self.base.mul_keyed(*keyed)
+        while rows and not rows[-1]:
+            rows.pop()
+        return KeyedRows((d, rows, scale))
+
+    def lower_keyed(self, keyed: KeyedRows) -> list:
+        """The elements of :class:`KeyedRows`, by :func:`_from_int_keys`."""
+        return _from_int_keys(self.base, *keyed)
+
+    def mul_coeffs(self, *factors) -> list:
+        """:meth:`keyed_product`, lowered: the terms are those through
+        ``add`` and ``mul``."""
+        return self.lower_keyed(self.keyed_product(*factors))
 
     def trim_center(self, a: PuiseuxElem, r: Magnitude) -> PuiseuxElem:
         """The canonical center of ``E(a, r)``: the terms of ``a`` with

@@ -66,7 +66,7 @@ class BranchData:
         lc = field.one if lead is None else field.add(field.zero, lead)
         if field.is_zero(lc):
             raise DomainError("leading coefficient must be nonzero")
-        f = Poly.make(field, field.mul_coeffs([lc], *[(field.neg(r), field.one) for r in rs]))
+        f = Poly.product(field, [lc], *[(field.neg(r), field.one) for r in rs])
         return BranchData(f, rs, lc, len(rs) % 2 == 1)
 
     @property

@@ -22,10 +22,16 @@ class Poly(Frozen):
     """A polynomial in T over a fixed valued field.
 
     A record of ``field`` and ``coeffs``: equal when both are, hashed as
-    that pair.
+    that pair.  A product over a Puiseux field made by :meth:`product` is
+    held on integer keys, as the field's :class:`KeyedRows`, in the
+    private slot ``_keyed``: ``degree``, ``is_zero`` and the disc readers
+    (:func:`dominant_terms`) read those rows as they are, and ``coeffs``
+    is lowered from them on its first read.  Every public value, ``==``,
+    ``hash`` and ``repr`` are those of the lowered polynomial.
     """
 
     __slots__ = ("field", "coeffs")
+    _keyed = None  # the KeyedRows of a product held keyed, see _KeyedProduct
 
     def __init__(self, field: ValuedField, coeffs: tuple):
         _set_field(self, field)
@@ -35,7 +41,7 @@ class Poly(Frozen):
         return f"Poly(field={self.field!r}, coeffs={self.coeffs!r})"
 
     def __eq__(self, other):
-        if other.__class__ is not Poly:
+        if not isinstance(other, Poly):
             return NotImplemented
         return (self.field, self.coeffs) == (other.field, other.coeffs)
 
@@ -48,6 +54,19 @@ class Poly(Frozen):
         while cs and field.is_zero(cs[-1]):
             cs.pop()
         return Poly(field, tuple(cs))
+
+    @staticmethod
+    def product(field: ValuedField, *factors) -> "Poly":
+        """The product of one or more coefficient lists, each with a
+        nonzero last entry.  Over a Puiseux field it stays on the integer
+        keys of the field's ``keyed_product`` until ``coeffs`` is read."""
+        keyed_product = getattr(field, "keyed_product", None)
+        if keyed_product is None:
+            return Poly.make(field, field.mul_coeffs(*factors))
+        f = object.__new__(_KeyedProduct)
+        _set_field(f, field)
+        _set_keyed(f, keyed_product(*factors))
+        return f
 
     @staticmethod
     def constant(field: ValuedField, c) -> "Poly":
@@ -121,8 +140,34 @@ class Poly(Frozen):
         return format_poly(self)
 
 
+class _KeyedProduct(Poly):
+    """A :class:`Poly` made by :meth:`Poly.product` over a Puiseux field,
+    with ``coeffs`` left unset until it is read.  Only this class has a
+    ``__getattr__``: on CPython 3.11 a class with one reads each of its
+    slots about four times slower (the read is not specialised), so a
+    polynomial built with its coefficients pays nothing for it."""
+
+    __slots__ = ("_keyed",)
+
+    @property
+    def degree(self) -> int:
+        return len(self._keyed[1]) - 1
+
+    @property
+    def is_zero(self) -> bool:
+        return not self._keyed[1]
+
+    def __getattr__(self, name):
+        if name != "coeffs":
+            raise AttributeError(name)
+        coeffs = tuple(self.field.lower_keyed(self._keyed))
+        _set_coeffs(self, coeffs)
+        return coeffs
+
+
 _set_field = Poly.field.__set__
 _set_coeffs = Poly.coeffs.__set__
+_set_keyed = _KeyedProduct._keyed.__set__
 
 
 def taylor_shift(f: Poly, a) -> Poly:
@@ -176,7 +221,7 @@ def dominant_terms(f: Poly, a, r: Magnitude):
     the dominant rows are lowered, to their lowest term.
     """
     k = f.field
-    vals, lowest = k.lowest_terms(f.coeffs, k.trim_center(a, r))
+    vals, lowest = k.lowest_terms(f.coeffs if f._keyed is None else f._keyed, k.trim_center(a, r))
     if r.is_zero:
         for i, v in enumerate(vals):
             if v is not None:

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import random
 import re
 import subprocess
 import sys
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from berkline.cli import run
-from berkline.fields import Rationals, _int_keys, parse_field
+from berkline.fields import Rationals, _int_keys, _lift_keyed, parse_field
 from berkline.polynomials import parse_poly
 
 # Each fixture is (argv, exact stdout). Outputs are frozen byte for byte;
@@ -380,6 +381,25 @@ def test_exact_evaluation_beyond_the_bound_exits_4():
         assert '"exponent": "0"' in out
 
 
+def test_puiseux_product_work_beyond_the_bound_exits_4():
+    # twenty roots of three terms each, with exponent denominators up to
+    # 13: the running product's rows fill wide key spans, so the term
+    # operations of the product are bounded up front and refused (the
+    # product alone ran past 60 s)
+    rng = random.Random(3)
+    roots = []
+    for _ in range(20):
+        e = rng.choice([1, 2, 3, 5, 7, 11, 13])
+        terms = "+".join(f"{rng.randint(1, 5)}*t^({rng.randint(-20, 20)}/{e})" for _ in range(3))
+        roots.append(terms.replace("+-", "-"))
+    start = time.perf_counter()
+    code, out, err = invoke(["hyper", "--field", "puiseux:Q", "--roots=" + ",".join(roots)])
+    assert time.perf_counter() - start < 2.0
+    assert (code, out, err.count("\n")) == (4, "", 1)
+    assert err.startswith("precondition violated: a product would need ")
+    assert "term operations" in err
+
+
 def test_puiseux_term_work_beyond_the_bound_exits_4():
     # powers of a center with three incommensurable exponents have
     # supports that grow with the cube of the degree: the number of term
@@ -460,7 +480,7 @@ def test_sparse_wide_disc_sweeps_run_within_512_mb():
         label = (poly, center)
         f, a = parse_poly(field, poly), field.parse_element(center)
         _, ([shift], rows) = _int_keys((a,), f.coeffs)
-        assert Rationals()._packed_sweep(shift, rows) is None, label
+        assert Rationals()._packed_sweep(*_lift_keyed(Rationals(), shift, rows)) is None, label
         start = time.perf_counter()
         argv = ["eval", "--field=puiseux:Q", f"--poly={poly}", f"disc({center}; 2)"]
         done = _run_within_512_mb(argv)

@@ -31,7 +31,7 @@ from berkline import (
     taylor_shift,
 )
 from berkline.errors import MAX_EXACT_BITS
-from berkline.fields import _IntKernels, _int_keys, _term_work
+from berkline.fields import _IntKernels, _int_keys, _lift_keyed, _product_work, _term_work
 from berkline.polynomials import dominant_terms
 from oracles import horner, schoolbook_coeffs, sympy_puiseux, synthetic_shift
 
@@ -441,6 +441,39 @@ def test_term_work_is_tight_where_the_supports_fill():
         assert calls <= work <= 3 * calls
 
 
+def _product_term_operations(keyed):
+    """The term operations of ``mul_keyed`` on keyed factors: each step
+    takes every key of the running product's rows (over Q the zeros too,
+    which stay until the end) against every term of the next factor.
+    Over F_p the kernel drops the running zeros first, so there this
+    count is at least its work."""
+    xs, ops = [{g for g, _ in row} for row in keyed[0]], 0
+    for factor in keyed[1:]:
+        ys = [{g for g, _ in row} for row in factor]
+        ops += sum(map(len, xs)) * sum(map(len, ys))
+        out = [set() for _ in range(len(xs) + len(ys) - 1)]
+        for i, x in enumerate(xs):
+            for j, y in enumerate(ys, i):
+                out[j] |= {gx + gy for gx in x for gy in y}
+        xs = out
+    return ops
+
+
+@_SETTINGS
+@given(data=st.data(), name=st.sampled_from(["puiseuxQ", "puiseuxF3"]))
+def test_product_work_bounds_the_product(data, name):
+    """``_product_work`` is an upper bound on the term operations of a
+    product of one to six factors of degree 0 to 4 (degree 1 is a root
+    factor of ``from_roots``)."""
+    field = FIELDS[name]
+    factors = [
+        coefficients(field, data, data.draw(st.integers(0, 4)))
+        for _ in range(data.draw(st.integers(1, 6)))
+    ]
+    _, keyed = _int_keys(*factors)
+    assert _product_term_operations(keyed) <= _product_work(keyed)
+
+
 _QQ_KEYED = PuiseuxField(Rationals())
 # The worst case of the width bound is a single key: every coefficient
 # and the center at exponent 0, all positive, so that nothing cancels.
@@ -499,10 +532,11 @@ def test_packed_rows_hold_every_slot_in_its_width(case):
     them wrong."""
     cs, a = case
     _, ([shift], rows) = _int_keys((a,), cs)
-    sweep = Rationals()._packed_sweep(shift, rows)
+    keyed = _lift_keyed(Rationals(), shift, rows)
+    sweep = Rationals()._packed_sweep(*keyed)
     assume(sweep is not None)
     W, lo, final, scale, D = sweep
-    want, want_scale, want_D = Rationals().shift_keyed(shift, rows, len(rows))
+    want, want_scale, want_D = Rationals().shift_keyed(*keyed, len(rows))
     assert (scale, D) == (want_scale, want_D)
     got = [_slots(row, low, W) for low, row in zip(lo, final)]
     assert got == want

@@ -9,6 +9,7 @@ The statement tracer ``unreached.py`` is checked in process on a small
 module.
 """
 
+import gc
 import importlib.util
 import subprocess
 import sys
@@ -268,3 +269,40 @@ def test_unreached_names_the_one_statement_never_run(tmp_path):
     assert [(path.name, line, text) for path, line, text in missed] == [
         ("sample.py", 8, "return -1")
     ]
+
+
+def _load_script(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_gc_census_counts_collections_per_generation():
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "gc_census.py"), "--queries", "14"],
+        capture_output=True,
+        text=True,
+        cwd=ROOT,
+    )
+    assert out.returncode == 0, out.stderr
+    head, *gens = out.stdout.splitlines()[:4]
+    assert head == "cover-skeleton, seed 1, queries 0..13, 0 failed"
+    assert [line.split(":")[0] for line in gens] == ["gen 0", "gen 1", "gen 2"]
+    assert all(line.endswith(" ms") and " collections, " in line for line in gens)
+
+
+def test_gc_census_names_the_caller_of_a_full_collection():
+    census = _load_script("gc_census")
+    hook = census.Census()
+    gc.callbacks.append(hook)
+    try:
+        gc.collect()
+    finally:
+        gc.callbacks.remove(hook)
+    assert hook.count[2] == 1 and hook.pause[2] > 0
+    [(query, pause, caller)] = hook.full
+    assert query is None and pause == hook.pause[2]
+    assert caller == "outside the library, in test_scripts." + (
+        "test_gc_census_names_the_caller_of_a_full_collection"
+    )
