@@ -268,17 +268,6 @@ def reduce_point(x: Point):
 # Text forms
 
 
-_MAG_RE = re.compile(r"^rho\^\((?P<e>[^)]*)\)$")
-
-
-def parse_magnitude_text(text: str) -> Magnitude:
-    s = "".join(text.split())
-    m = _MAG_RE.match(s)
-    if not m:
-        raise ParseError("magnitude", text, "expected rho^(<exponent>)")
-    return Magnitude.finite(parse_exponent(m.group("e")))
-
-
 def format_inequality(iq: Inequality) -> str:
     return (
         f"|{format_poly(iq.f)}| {iq.rel.value} "
@@ -293,7 +282,7 @@ def format_domain(d: Domain) -> str:
 
 
 _INEQ_RE = re.compile(
-    r"^\|(?P<f>[^|]+)\|(?P<rel><=|>=)(?P<mag>rho\^\([^)]*\))\*\|(?P<g>[^|]+)\|$"
+    r"^\|(?P<f>[^|]+)\|(?P<rel><=|>=)rho\^\((?P<e>[^)]*)\)\*\|(?P<g>[^|]+)\|$"
 )
 
 
@@ -314,7 +303,7 @@ def parse_domain(field: ValuedField, text: str) -> Domain:
             Inequality(
                 parse_poly(field, m.group("f")),
                 parse_poly(field, m.group("g")),
-                parse_magnitude_text(m.group("mag")),
+                Magnitude.finite(parse_exponent(m.group("e"))),
                 rel,
             )
         )

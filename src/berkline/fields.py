@@ -32,10 +32,11 @@ denominators cleared once per factor, over F_p reduced mod ``p`` as
 values are stored.  ``padic`` and ``trivial`` backends bind them, and
 the element arithmetic, from their base at construction.  Puiseux
 fields run them on integer exponent keys through the base's keyed
-kernels, which take and return int rows (dicts with no zero values,
-reduced mod ``p`` over F_p) and their scale: elements are keyed and
-lifted to ints once, on the way in, and :func:`_from_int_keys` lowers
-rows to elements.  ``keyed_product`` keeps a product on that form, as
+kernels, which take and return one int form: rows of int dicts
+``{key: value}`` at one scale, with no zero values (reduced mod ``p``
+over F_p).  :func:`_keyed` puts elements on that form, keying and
+lifting each term once, and :func:`_from_int_keys` lowers rows to
+elements.  ``keyed_product`` keeps a product on that form, as
 :class:`KeyedRows`, which a :class:`~berkline.polynomials.Poly` made
 by ``Poly.product`` holds until its ``coeffs`` are first read.
 ``lowest_terms`` reads each row's least key and the value there,
@@ -84,23 +85,22 @@ class _IntKernels:
     """The polynomial kernels of both base fields, written once on Python
     ints: the fraction-free sweeps of von zur Gathen and Gerhard, "Fast
     algorithms for Taylor shifts and certain difference equations"
-    (ISSAC 1997).  A base field supplies ``_lift`` (dense) and
-    ``_lift_rows`` (keyed), its values as ints at one common scale, and
-    ``_lower(z, scale)``, the value of such an int: over Q the scale is
-    the lcm of the denominators, over F_p it is 1 and lowering reduces
-    mod ``p``.  As ``Z -> F_p`` commutes with ``+`` and ``*``, the ints
-    are reduced mod the characteristic (over Q, not at all) as they are
-    stored.
+    (ISSAC 1997).  A base field supplies ``char``, ``_lift(values)``,
+    its values as ints at one common scale, and ``_lower(z, scale)``,
+    the value of such an int: over Q the scale is the lcm of the
+    denominators, over F_p it is 1 and lowering reduces mod ``p``.  As
+    ``Z -> F_p`` commutes with ``+`` and ``*``, the ints are reduced mod
+    the characteristic (over Q, not at all) as they are stored.
 
     Dense coefficient lists (low degree first) serve polynomials over the
     field itself, and through forwarding over ``padic`` and ``trivial``
-    backends.  Keyed rows serve Puiseux sums with this base: each
-    coefficient is a list of ``(int key, base coefficient)`` terms, the
-    keys scaled by :func:`_int_keys`.  The sweeps take them lifted by
-    :func:`_lift_keyed`, as ``(int key, int value)`` pairs at one scale
-    (lists, or the items of int dicts), and every kernel returns rows as
-    dicts of int values, not lowered, with the scale to lower them at.
-    Products multiply one or more factors in order, from the first.
+    backends.  Keyed rows serve Puiseux sums with this base, on the one
+    form :meth:`_key` gives: a row per coefficient, an int dict
+    ``{key: value}`` with no zero values, all rows at one scale.  Every
+    keyed kernel takes its rows on that form and returns them on it, not
+    lowered, with the scale to lower them at; the center of a sweep
+    enters as the ``(key, value)`` pairs of its one row.  Products
+    multiply one or more factors in order, from the first.
     """
 
     def taylor_shift_coeffs(self, coeffs, a, count) -> list:
@@ -169,45 +169,48 @@ class _IntKernels:
         lower = self._lower
         return [lower(z, den) for z in out]
 
-    def _dict_rows(self, rows) -> list:
-        """Keyed rows as int dicts.  A row whose keys repeat (a sum not in
-        canonical form) has the values of each key summed and what cancels
-        (mod ``p`` over F_p) dropped; a canonical row costs one length
-        comparison."""
-        m, out = self.char, []
-        for terms in rows:
-            row = dict(terms)
-            if len(row) < len(terms):
+    def _key(self, elems, d) -> tuple:
+        """Puiseux elements over this base on the keyed form, each term
+        keyed and lifted in one pass: row ``i`` is ``{g*d: L*c}`` for the
+        terms ``(g, c)`` of element ``i``, with ``L`` the lcm of the
+        denominators of the values (an int is its own numerator, so over
+        F_p ``L`` is 1), and ``L``.  An element whose exponents repeat (a
+        sum not in canonical form) has the values of each key summed and
+        what cancels (mod ``p`` over F_p) dropped; a canonical one costs
+        one length comparison."""
+        m, rows = self.char, []
+        L = lcm(*[c.denominator for x in elems for _, c in x])
+        for x in elems:
+            row = {g.numerator * (d // g.denominator): c.numerator * (L // c.denominator)
+                   for g, c in x}
+            if len(row) < len(x):
                 row = {}
-                for g, c in terms:
-                    row[g] = row.get(g, 0) + c
+                for g, c in x:
+                    key = g.numerator * (d // g.denominator)
+                    row[key] = row.get(key, 0) + c.numerator * (L // c.denominator)
                 if m:
                     row = {g: c % m for g, c in row.items() if c % m}
                 else:
                     row = {g: c for g, c in row.items() if c}
-            out.append(row)
-        return out
+            rows.append(row)
+        return rows, L
 
     def shift_keyed(self, shift, D, rows, L, count):
         """:meth:`taylor_shift_coeffs` term by term on keyed rows, without
-        the lowering: the terms of ``D*a`` and of the rows as int pairs,
-        at the scales ``D`` and ``L`` (see :func:`_lift_keyed`).  The
-        sweep folds ``D*a`` in with one int product per pair of terms, and
-        zeros (over F_p, after the reduction) are dropped once per row
-        update.  A fold from an empty row adds
-        nothing and is skipped, so over F_p, where most rows of a full
-        sweep vanish (Lucas' theorem on the binomials), the sweep costs
-        only its nonzero rows.  Over Q the same size bound applies, with
-        ``A`` the sum of the numerators of ``D*a``.
+        the lowering: the terms of ``D*a`` as int pairs and the rows of
+        ``f``, at the scales ``D`` and ``L`` (see
+        :meth:`PuiseuxField._sweep`, which also bounds the sizes).  The
+        sweep updates the rows in place.  It folds ``D*a`` in with one
+        int product per pair of terms, and zeros (over F_p, after the
+        reduction) are dropped once per row update.  A fold from an empty
+        row adds nothing and is skipped, so over F_p, where most rows of
+        a full sweep vanish (Lucas' theorem on the binomials), the sweep
+        costs only its nonzero rows.
 
         Returns the first ``count`` rows as int dicts with no zero values,
         the scale of row 0 and ``D``; row ``i`` is at scale
         ``scale // D**i``."""
         n, m = len(rows), self.char
-        rows = self._dict_rows(rows)
-        if not m:
-            lf_bits = max([c.bit_length() for row in rows for c in row.values()], default=0)
-            _check_q_size(lf_bits, n, sum(abs(c) for _, c in shift), D, count)
         power = 1
         for i in range(count):
             for j in range(n - 2, i - 1, -1):
@@ -242,21 +245,21 @@ class _IntKernels:
 
     def mul_keyed(self, *factors):
         """:meth:`mul_coeffs` term by term on keyed rows, without the
-        lowering: the product's rows as int dicts with no zero values
-        (over F_p reduced mod ``p``), all at one scale, and that scale."""
-        m, lift = self.char, self._lift_rows
-        xs, den = lift(factors[0])
-        if len(factors) == 1:
-            return self._dict_rows(xs), den
-        for k, factor in enumerate(factors[1:]):
-            ys, scale = lift(factor)
+        lowering: each factor as ``(rows, scale)`` of :meth:`_key`, and
+        the product's rows on the same form, all at one scale, and that
+        scale."""
+        m = self.char
+        xs, den = factors[0]
+        for k, (ys, scale) in enumerate(factors[1:]):
             den *= scale
             if m and k:  # a running product, before it grows again
-                xs = [[(g, c % m) for g, c in x if c % m] for x in xs]
+                xs = [{g: c % m for g, c in x.items() if c % m} for x in xs]
+            ys = [y.items() for y in ys]
             out = [{} for _ in range(len(xs) + len(ys) - 1)]
             for i, x in enumerate(xs):
                 if not x:
                     continue
+                x = x.items()
                 for j, y in enumerate(ys, i):
                     row = out[j]
                     get = row.get
@@ -264,11 +267,11 @@ class _IntKernels:
                         for gb, cb in y:
                             key = ga + gb
                             row[key] = get(key, 0) + ca * cb
-            xs = list(map(dict.items, out))
+            xs = out
         if m:
-            return [{g: c % m for g, c in row.items() if c % m} for row in out], den
+            return [{g: c % m for g, c in row.items() if c % m} for row in xs], den
         return [row if all(row.values()) else {g: c for g, c in row.items() if c}
-                for row in out], den
+                for row in xs], den
 
 
 class KeyedRows(tuple):
@@ -282,17 +285,12 @@ class KeyedRows(tuple):
     __slots__ = ()
 
 
-def _int_keys(*groups):
-    """The common denominator ``d`` of the exponents of groups of Puiseux
-    elements, and each group's elements as their terms with exponents
-    scaled by ``d`` to ints."""
-    d = 1
-    for elems in groups:
-        for x in elems:
-            for g, _ in x:
-                d = lcm(d, g.denominator)
-    return d, [[[(g.numerator * (d // g.denominator), c) for g, c in x] for x in elems]
-               for elems in groups]
+def _keyed(base, *groups, d=1):
+    """The lcm of ``d`` and the denominators of the exponents of groups
+    of Puiseux elements over ``base``, then each group on int keys over
+    it by ``base._key``: ``(d, (rows, scale), ...)``."""
+    d = lcm(d, *[g.denominator for elems in groups for x in elems for g, _ in x])
+    return (d, *[base._key(elems, d) for elems in groups])
 
 
 def _from_int_keys(base, d, rows, scale, D=1) -> list:
@@ -308,41 +306,23 @@ def _from_int_keys(base, d, rows, scale, D=1) -> list:
     return out
 
 
-def _lift_keyed(base, shift, rows):
-    """The terms of ``a`` and the rows of :func:`_int_keys` with their
-    values as ints: ``(D*a terms, D, rows, L)``, the input of the base's
-    keyed sweeps."""
-    [shift], D = base._lift_rows([shift])
-    return (shift, D, *base._lift_rows(rows))
-
-
-def _keyed_rows(base, coeffs, a, count):
-    """The coefficients of ``f`` and the center ``a`` on int keys for a
-    sweep of ``count`` rows: ``d`` of :func:`_int_keys`, then
-    :func:`_lift_keyed` of them.  The sweep is refused up front when
-    :func:`_term_work` is past ``MAX_TERM_WORK``."""
-    d, ([shift], rows) = _int_keys((a,), coeffs)
-    _check_work(_term_work(shift, rows, count), "a sweep")
-    return (d, *_lift_keyed(base, shift, rows))
-
-
 def _check_work(work, what) -> None:
     if work > MAX_TERM_WORK:
         raise DomainError(f"{what} would need {work} term operations, above {MAX_TERM_WORK}")
 
 
 def _product_work(factors) -> int:
-    """An upper bound on the term operations of ``mul_keyed`` on keyed
-    factors: each step costs the terms of the running product times
-    those of the next factor, and a running row holds no more terms than
-    the pairs of terms that reach it or the span of the keys they reach.
-    A product of two factors costs exactly its pairs of terms."""
+    """An upper bound on the term operations of ``mul_keyed`` on the rows
+    of keyed factors: each step costs the terms of the running product
+    times those of the next factor, and a running row holds no more
+    terms than the pairs of terms that reach it or the span of the keys
+    they reach.  A product of two factors costs exactly its pairs of
+    terms."""
     if len(factors) == 2:
         return sum(map(len, factors[0])) * sum(map(len, factors[1]))
 
     def spans(factor):
-        return [(min(ks), max(ks), len(ks)) if (ks := [g for g, _ in row]) else None
-                for row in factor]
+        return [(min(row), max(row), len(row)) if row else None for row in factor]
 
     xs, work = spans(factors[0]), 0
     for k, factor in enumerate(factors[1:], 2):
@@ -365,16 +345,17 @@ def _product_work(factors) -> int:
 
 def _term_work(shift, rows, count) -> int:
     """An upper bound on the term operations of a keyed sweep of
-    ``count`` rows: each of at most ``count * n`` folds costs
-    ``s = |supp a|`` per term of its row, and no row has more terms than
-    the span of the keys it can reach or ``sum_j |supp f_j| *
-    C(j+s-1, s-1)`` (``a**m`` has at most ``C(m+s-1, s-1)`` terms; the
-    span alone over-counts when exponents have large denominators)."""
+    ``count`` rows, from the terms of ``D*a`` and the rows: each of at
+    most ``count * n`` folds costs ``s = |supp a|`` per term of its row,
+    and no row has more terms than the span of the keys it can reach or
+    ``sum_j |supp f_j| * C(j+s-1, s-1)`` (``a**m`` has at most
+    ``C(m+s-1, s-1)`` terms; the span alone over-counts when exponents
+    have large denominators)."""
     n, s = len(rows), len(shift)
     keys = [g for g, _ in shift]
-    down, up = min(0, min(keys)), max(0, max(keys))
-    lo = min(min(g for g, _ in row) + j * down for j, row in enumerate(rows) if row)
-    hi = max(max(g for g, _ in row) + j * up for j, row in enumerate(rows) if row)
+    down, up = min([0, *keys]), max([0, *keys])
+    lo = min([min(row) + j * down for j, row in enumerate(rows) if row], default=0)
+    hi = max([max(row) + j * up for j, row in enumerate(rows) if row], default=0)
     span = hi - lo + 1
     terms, binom = 0, 1  # binom = C(j+s-1, s-1)
     for j, row in enumerate(rows):
@@ -461,11 +442,6 @@ class Rationals(_IntKernels):
         L = lcm(*[c.denominator for c in values])
         return [c.numerator * (L // c.denominator) for c in values], L
 
-    def _lift_rows(self, rows):
-        """:meth:`_lift` on the terms of keyed rows, one ``L`` for all."""
-        L = lcm(*[c.denominator for row in rows for _, c in row])
-        return [[(g, c.numerator * (L // c.denominator)) for g, c in row] for row in rows], L
-
     _lower = staticmethod(Fraction)
 
     def lowest_keyed(self, shift, D, rows, L):
@@ -524,29 +500,29 @@ class Rationals(_IntKernels):
         center such as ``t^(1/1000) + t^(999/1000)``) would cost gigabytes
         packed.  Where a packed row would be wider than
         ``MAX_EXACT_BITS``, the dict rows are read instead.
-        :func:`_check_q_size` refuses first, as in :meth:`shift_keyed`,
-        which also bounds ``(A1 + D)**(n-1)`` before it is formed."""
+        :func:`_check_q_size` has refused first, in
+        :meth:`PuiseuxField._sweep`, which also bounds ``(A1 + D)**(n-1)``
+        before it is formed."""
         n, m = len(rows), len(rows) - 1
         A1 = sum([abs(c) for _, c in shift])
-        l1 = max([sum([abs(c) for _, c in row]) for row in rows])
-        _check_q_size(max([c.bit_length() for row in rows for _, c in row]), n, A1, D, n)
+        l1 = max([sum([abs(c) for c in row.values()]) for row in rows])
         W = l1.bit_length() + m + ((A1 + D) ** m).bit_length() + 1
         keys = [g for g, _ in shift]
-        down, up = min(keys), max(keys)
+        down, up = min(keys, default=0), max(keys, default=0)
         lo, low, high, widest = [0] * n, None, None, 0
         for j in range(m, -1, -1):
             row = rows[j]
             if low is not None:
                 low, high = low + down, high + up
             if row:
-                ks = [g for g, _ in row]
-                low = min(ks) if low is None else min(low, *ks)
-                high = max(ks) if high is None else max(high, *ks)
+                low = min(row) if low is None else min(low, *row)
+                high = max(row) if high is None else max(high, *row)
             if low is not None:
                 lo[j], widest = low, max(widest, high - low + 1)
         if widest * W > MAX_EXACT_BITS:
             return None
-        packed = [sum([c << W * (g - lo[j]) for g, c in row]) for j, row in enumerate(rows)]
+        packed = [sum([c << W * (g - lo[j]) for g, c in row.items()])
+                  for j, row in enumerate(rows)]
         folds = [[(W * (g + lo[j + 1] - lo[j]), c) for g, c in shift] for j in range(m)]
 
         def final():
@@ -636,9 +612,6 @@ class PrimeField(_IntKernels):
 
     def _lift(self, values):
         return list(values), 1
-
-    def _lift_rows(self, rows):
-        return rows, 1
 
     def _lower(self, z, scale):
         return z % self.p
@@ -870,19 +843,46 @@ class PuiseuxField:
         exponent keys.
 
         Every exponent of the coefficients and of ``a`` is scaled by
-        their common denominator ``d`` to an int, and the base field's
-        ``shift_keyed`` runs the sweep on ints: over Q with the
-        denominators cleared, over F_p reduced mod ``p``.
+        their common denominator ``d`` to an int (:meth:`_sweep`), and
+        the base field's ``shift_keyed`` runs the sweep on ints: over Q
+        with the denominators cleared, over F_p reduced mod ``p``.
         :func:`_from_int_keys` then turns the keys back into ``Fraction``
         and lowers the values, in one pass; the result is that of the
-        generic sweep through ``add`` and ``mul``.  A :func:`_term_work`
-        past ``MAX_TERM_WORK`` is refused up front.  A constant, or a
+        generic sweep through ``add`` and ``mul``.  A constant, or a
         shift by zero, comes back as it is.
         """
         if not a or len(coeffs) < 2:
             return list(coeffs[:count])
-        d, *keyed = _keyed_rows(self.base, coeffs, a, count)
+        d, *keyed = self._sweep(coeffs, a, count)
         return _from_int_keys(self.base, d, *self.base.shift_keyed(*keyed, count))
+
+    def _sweep(self, coeffs, a, count):
+        """The input of the base's keyed sweeps of ``count`` rows of
+        ``f(T + a)``, for ``f`` as elements or as :class:`KeyedRows`:
+        ``(d, shift, D, rows, L)``, with every key over ``d``, the terms
+        of ``D*a`` as ``(key, value)`` pairs and the rows of ``f`` at the
+        scale ``L``.  Held keyed rows are handed over as copies (the dict
+        sweep updates its rows in place), their keys scaled by ``d / d_f``
+        for the exponent denominators of ``a``.
+
+        The sweep is refused up front when :func:`_term_work` is past
+        ``MAX_TERM_WORK`` and, over Q, when :func:`_check_q_size` bounds
+        its numbers past ``MAX_EXACT_BITS`` (``A`` the sum of the
+        numerators of ``D*a``)."""
+        base = self.base
+        if coeffs.__class__ is KeyedRows:
+            d_f, rows, L = coeffs
+            d, ([shift], D) = _keyed(base, (a,), d=d_f)
+            e = d // d_f
+            rows = [{g * e: c for g, c in row.items()} for row in rows]
+        else:
+            d, ([shift], D), (rows, L) = _keyed(base, (a,), coeffs)
+        shift = list(shift.items())
+        _check_work(_term_work(shift, rows, count), "a sweep")
+        if not base.char:
+            lf_bits = max([c.bit_length() for row in rows for c in row.values()], default=0)
+            _check_q_size(lf_bits, len(rows), sum([abs(c) for _, c in shift]), D, count)
+        return d, shift, D, rows, L
 
     def lowest_terms(self, coeffs, a):
         """The valuation exponent of each coefficient of ``g = f(T + a)``
@@ -891,18 +891,17 @@ class PuiseuxField:
         coefficient of ``g_i``.  ``coeffs`` are elements or a
         :class:`KeyedRows`, which is read as it is and never lowered.
 
-        The sweep is that of :meth:`taylor_shift_coeffs` on the same int
-        keys, read by the base field's ``lowest_keyed``, which gives each
-        row's least key and its int value (over Q from packed rows, over
-        F_p from the dict rows): a row's valuation is that key over
-        ``d``, and only the rows that ``lowest`` is asked for lower their
-        value.  Keyed rows enter the sweep as they are, their keys scaled
-        by ``lcm(d, den a) / d`` when the center has other exponent
-        denominators.  Unshifted coefficients (a shift by zero, or of a
-        constant) are read as they are: keyed rows by each row's least
-        key, elements by their first term, so they must be canonical, as
-        the class defines elements: a repeated exponent that cancels
-        would be misread as the lowest term.
+        The sweep is that of :meth:`taylor_shift_coeffs`, set up by
+        :meth:`_sweep` on the same int keys, read by the base field's
+        ``lowest_keyed``, which gives each row's least key and its int
+        value (over Q from packed rows, over F_p from the dict rows): a
+        row's valuation is that key over ``d``, and only the rows that
+        ``lowest`` is asked for lower their value.  Unshifted
+        coefficients (a shift by zero, or of a constant) are read as they
+        are: keyed rows by each row's least key, elements by their first
+        term, so they must be canonical, as the class defines elements: a
+        repeated exponent that cancels would be misread as the lowest
+        term.
         """
         base = self.base
         if coeffs.__class__ is KeyedRows:
@@ -915,20 +914,12 @@ class PuiseuxField:
                     return ((Fraction(g, d), base._lower(rows[i][g], L)),)
 
                 return [None if g is None else _make(g, 0, d) for g in keys], lowest
-            d_a = lcm(d, *[g.denominator for g, _ in a])
-            if d_a > d:
-                e = d_a // d
-                rows = [[(g * e, c) for g, c in row.items()] for row in rows]
-            else:
-                rows = [row.items() for row in rows]
-            d, shift = d_a, [(g.numerator * (d_a // g.denominator), c) for g, c in a]
-            _check_work(_term_work(shift, rows, len(rows)), "a sweep")
-            [shift], D = base._lift_rows([shift])
         elif not a or len(coeffs) < 2:
             vals = [_make(x[0][0].numerator, 0, x[0][0].denominator) if x else None for x in coeffs]
             return vals, lambda i: coeffs[i][:1]
         else:
-            d, shift, D, rows, L = _keyed_rows(base, coeffs, a, len(coeffs))
+            rows = coeffs
+        d, shift, D, rows, L = self._sweep(coeffs, a, len(rows))
         lows, scale, D = base.lowest_keyed(shift, D, rows, L)
 
         def lowest(i):
@@ -940,10 +931,11 @@ class PuiseuxField:
     def keyed_product(self, *factors) -> KeyedRows:
         """The schoolbook product of one or more factors as
         :class:`KeyedRows`: their exponents on int keys over one
-        denominator, multiplied by the base field's ``mul_keyed``.  A
-        :func:`_product_work` past ``MAX_TERM_WORK`` is refused up front."""
-        d, keyed = _int_keys(*factors)
-        _check_work(_product_work(keyed), "a product")
+        denominator (:func:`_keyed`), multiplied by the base field's
+        ``mul_keyed``.  A :func:`_product_work` past ``MAX_TERM_WORK`` is
+        refused up front."""
+        d, *keyed = _keyed(self.base, *factors)
+        _check_work(_product_work([rows for rows, _ in keyed]), "a product")
         rows, scale = self.base.mul_keyed(*keyed)
         while rows and not rows[-1]:
             rows.pop()

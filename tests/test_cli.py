@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from berkline.cli import run
-from berkline.fields import Rationals, _int_keys, _lift_keyed, parse_field
+from berkline.fields import Rationals, _keyed, parse_field
 from berkline.polynomials import parse_poly
 
 # Each fixture is (argv, exact stdout). Outputs are frozen byte for byte;
@@ -479,8 +479,8 @@ def test_sparse_wide_disc_sweeps_run_within_512_mb():
     ):
         label = (poly, center)
         f, a = parse_poly(field, poly), field.parse_element(center)
-        _, ([shift], rows) = _int_keys((a,), f.coeffs)
-        assert Rationals()._packed_sweep(*_lift_keyed(Rationals(), shift, rows)) is None, label
+        _, ([shift], D), (rows, L) = _keyed(Rationals(), (a,), f.coeffs)
+        assert Rationals()._packed_sweep(list(shift.items()), D, rows, L) is None, label
         start = time.perf_counter()
         argv = ["eval", "--field=puiseux:Q", f"--poly={poly}", f"disc({center}; 2)"]
         done = _run_within_512_mb(argv)

@@ -31,7 +31,7 @@ from berkline import (
     parse_poly,
     taylor_shift,
 )
-from berkline.fields import _int_keys, _lift_keyed
+from berkline.fields import _keyed
 from berkline.polynomials import dominant_terms
 from helpers import rand_element, rand_fraction
 from oracles import reference_dominant_terms, reference_fiber_count
@@ -187,8 +187,9 @@ def test_dominant_terms_edge_cases(selector):
             # packed, T^24 + T at the wide center would be a row of about
             # 1.56M bits, so the reader takes the dict rows there
             sparse = parse_poly(field, "T^24+T")
-            _, ([shift], rows) = _int_keys((field.parse_element(wide),), sparse.coeffs)
-            assert field.base._packed_sweep(*_lift_keyed(field.base, shift, rows)) is None
+            center = field.parse_element(wide)
+            _, ([shift], D), (rows, L) = _keyed(field.base, (center,), sparse.coeffs)
+            assert field.base._packed_sweep(list(shift.items()), D, rows, L) is None
             extra.append(sparse)
     elif isinstance(field, PAdicField):
         centers = [Fraction(7, field.p ** 2), Fraction(-3, 4), Fraction(field.p ** 3, 2)]

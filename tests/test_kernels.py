@@ -28,10 +28,12 @@ from berkline import (
     PuiseuxField,
     Rationals,
     TrivialField,
+    parse_poly,
     taylor_shift,
 )
+from berkline import fields
 from berkline.errors import MAX_EXACT_BITS
-from berkline.fields import _IntKernels, _int_keys, _lift_keyed, _product_work, _term_work
+from berkline.fields import _IntKernels, _keyed, _product_work, _term_work
 from berkline.polynomials import dominant_terms
 from oracles import horner, schoolbook_coeffs, sympy_puiseux, synthetic_shift
 
@@ -364,7 +366,7 @@ def _work_and_calls(field, cs, a, count):
     field ``mul`` per pair of terms in ``synthetic_shift`` (the full
     shift) or ``horner`` (``count = 1``).  The kernel's rows must equal
     the oracle's."""
-    _, ([shift], rows) = _int_keys((a,), cs)
+    _, ([shift], _), (rows, _) = _keyed(field.base, (a,), cs)
     calls = []
     mul = PrimeField.mul
 
@@ -375,7 +377,7 @@ def _work_and_calls(field, cs, a, count):
     with patch.object(PrimeField, "mul", counting):
         expected = [horner(field, cs, a)] if count == 1 else synthetic_shift(field, cs, a)
     assert field.taylor_shift_coeffs(cs, a, count) == expected
-    return _term_work(shift, rows, count), len(calls)
+    return _term_work(shift.items(), rows, count), len(calls)
 
 
 def test_the_keyed_sweep_folds_only_from_nonzero_rows():
@@ -447,9 +449,9 @@ def _product_term_operations(keyed):
     which stay until the end) against every term of the next factor.
     Over F_p the kernel drops the running zeros first, so there this
     count is at least its work."""
-    xs, ops = [{g for g, _ in row} for row in keyed[0]], 0
+    xs, ops = [set(row) for row in keyed[0]], 0
     for factor in keyed[1:]:
-        ys = [{g for g, _ in row} for row in factor]
+        ys = [set(row) for row in factor]
         ops += sum(map(len, xs)) * sum(map(len, ys))
         out = [set() for _ in range(len(xs) + len(ys) - 1)]
         for i, x in enumerate(xs):
@@ -470,7 +472,8 @@ def test_product_work_bounds_the_product(data, name):
         coefficients(field, data, data.draw(st.integers(0, 4)))
         for _ in range(data.draw(st.integers(1, 6)))
     ]
-    _, keyed = _int_keys(*factors)
+    _, *keyed = _keyed(field.base, *factors)
+    keyed = [rows for rows, _ in keyed]
     assert _product_term_operations(keyed) <= _product_work(keyed)
 
 
@@ -531,8 +534,8 @@ def test_packed_rows_hold_every_slot_in_its_width(case):
     of two, within a factor 4 of the bound: a width two bits short reads
     them wrong."""
     cs, a = case
-    _, ([shift], rows) = _int_keys((a,), cs)
-    keyed = _lift_keyed(Rationals(), shift, rows)
+    _, ([shift], D), (rows, L) = _keyed(Rationals(), (a,), cs)
+    keyed = (list(shift.items()), D, rows, L)
     sweep = Rationals()._packed_sweep(*keyed)
     assume(sweep is not None)
     W, lo, final, scale, D = sweep
@@ -573,3 +576,43 @@ def test_repeated_exponents_are_summed_in_the_keyed_kernels(name):
                 for r in (rho2, Magnitude.zero()):
                     assert dominant_terms(f, a, r) == dominant_terms(g, a, r)
             assert Poly.make(field, field.mul_coeffs(f.coeffs)) == g
+
+
+@pytest.mark.parametrize("name", ["puiseuxQ", "puiseuxF5"])
+def test_a_center_whose_terms_cancel_shifts_nothing(name):
+    """A center not in canonical form whose terms all cancel (``t - t``,
+    over F_5 ``t + 4*t``) is zero: the keyed shift, evaluation and disc
+    reader read ``f`` as it is, dense and as a keyed product."""
+    field = {"puiseuxQ": PuiseuxField(Rationals()), "puiseuxF5": PuiseuxField(PrimeField(5))}[name]
+    a = ((Fraction(1), field.base.one), (Fraction(1), field.base.from_int(-1)))
+    cs = [field.parse_element(s) for s in ("1+t^(1/2)", "t", "3", "t^(-1)")]
+    f = Poly.make(field, cs)
+    assert taylor_shift(f, a) == f
+    assert f.evaluate(a) == cs[0]
+    keyed = Poly.product(field, cs)
+    for r in (Magnitude.finite(Exponent(2)), Magnitude.zero()):
+        assert dominant_terms(f, a, r) == dominant_terms(keyed, a, r) == dominant_terms(f, field.zero, r)
+
+
+def test_the_size_bound_runs_once_per_keyed_sweep(monkeypatch):
+    """Over puiseux:Q ``_check_q_size`` runs once per sweep, before
+    either reader: for a shift, an evaluation and a disc reading, on
+    packed rows (``T^3 + t*T + 1`` at ``1 + t``) and on the dict rows
+    (``T^24 + T`` at ``t^(1/1000) + t^(999/1000)``, where a packed row
+    would be too wide)."""
+    field = _QQ_KEYED
+    calls = []
+    check = fields._check_q_size
+    monkeypatch.setattr(fields, "_check_q_size", lambda *args: calls.append(1) or check(*args))
+    for poly, center, packed in (
+        ("T^3+t*T+1", "1+t", True),
+        ("T^24+T", "t^(1/1000)+t^(999/1000)", False),
+    ):
+        f, a = parse_poly(field, poly), field.parse_element(center)
+        _, ([shift], D), (rows, L) = _keyed(field.base, (a,), f.coeffs)
+        assert (Rationals()._packed_sweep(list(shift.items()), D, rows, L) is not None) == packed
+        for read in (lambda: taylor_shift(f, a), lambda: f.evaluate(a),
+                     lambda: dominant_terms(f, a, Magnitude.finite(Exponent(2)))):
+            calls.clear()
+            read()
+            assert len(calls) == 1, (poly, center)

@@ -9,6 +9,7 @@ alike on every disc, in agreement with the whole expansion of
 skeleton and a fiber count at every disc vertex) must never lower it.
 """
 
+import copy
 import random
 from fractions import Fraction
 
@@ -117,6 +118,38 @@ def test_only_coeffs_is_filled_on_read():
     with pytest.raises(AttributeError):
         Poly.coeffs.__get__(f)  # the slot itself: still unset
     assert f.degree == 2
+
+
+def test_reads_leave_the_held_rows_as_they_are():
+    """The dict sweep updates its rows in place, so every read of a
+    keyed product sweeps copies of the rows it holds: over puiseux:F5
+    (always the dict sweep), over puiseux:Q at ``t^(1/1000) +
+    t^(999/1000)`` with the product already on that denominator (the
+    dict rows, as a packed row would be too wide) and at a center with
+    exponent denominators new to the product (keys rescaled).  After
+    three rounds of reads the held rows equal a deep snapshot taken
+    before the first."""
+    wide = "t^(1/1000)+t^(999/1000)"
+    cases = (
+        ("puiseux:F5", [["t^(1/2)"], ["1", "1"], ["2+t", "1"], ["3", "t", "1"]], ["2+t", "t^(1/2)", "3"]),
+        ("puiseux:Q", [["t^(1/1000)"], ["0", "1"], ["1"] + ["0"] * 99 + ["1"]], [wide]),
+        ("puiseux:Q", [["2*t^(1/2)"], ["t", "1"], ["1/3", "t", "1"]], ["1+t^(1/7)", "t^(-2/5)"]),
+    )
+    radii = (Magnitude.zero(), Magnitude.finite(Exponent(2)))
+    for selector, factors, centers in cases:
+        field = parse_field(selector)
+        f = Poly.product(field, *[[field.parse_element(c) for c in cs] for cs in factors])
+        held = copy.deepcopy(f._keyed)
+        centers = [field.parse_element(a) for a in centers]
+        if centers[0] == field.parse_element(wide):
+            d, rows, L = f._keyed
+            _, ([shift], D) = fields._keyed(field.base, centers, d=d)
+            assert field.base._packed_sweep(list(shift.items()), D, rows, L) is None
+        for _ in range(3):
+            for a in centers:
+                for r in radii:
+                    dominant_terms(f, a, r)
+        assert f._keyed == held, selector
 
 
 def test_the_cover_path_never_lowers(monkeypatch):

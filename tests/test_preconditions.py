@@ -29,7 +29,6 @@ from berkline import (
     Inequality,
     Magnitude,
     Ordering,
-    ParseError,
     Poly,
     PointClass,
     PrimeField,
@@ -58,7 +57,6 @@ from berkline import (
     squarefree_part,
     zpoint_limit_check,
 )
-from berkline.domains import parse_magnitude_text
 from helpers import LSER, Q5
 
 ZERO = Magnitude.zero()
@@ -82,7 +80,6 @@ _RAISES = [
      "disc radius must be positive"),
     (lambda: DiscMinusHoles(Q5, Fraction(0), MAG_ONE, ((Fraction(0), ZERO),)), DomainError,
      "hole radii must be positive"),
-    (lambda: parse_magnitude_text("rho^2"), ParseError, "expected rho\\^\\(<exponent>\\)"),
     # line: chain radii, hulls, retraction and directions
     (lambda: ChainPoint(Q5, ((Fraction(0), ZERO),)), DomainError,
      "chain radii must be positive"),
