@@ -20,7 +20,7 @@ from typing import Tuple, Union
 from .errors import DomainError, ParseError, read_pair, record, split_top
 from .exponents import Magnitude, format_exponent, format_magnitude, mag_max, parse_exponent
 from .fields import ValuedField
-from .line import ChainPoint, DiscPoint, Point, _anchor, eval_seminorm, point_eq
+from .line import ChainPoint, DiscPoint, Point, _anchor, _join_radius, eval_seminorm, point_eq
 from .polynomials import Poly, format_poly, parse_poly
 
 
@@ -158,7 +158,7 @@ class DiscMinusHoles:
         for a, r in self.holes:
             if r.is_zero:
                 raise DomainError("hole radii must be positive")
-            if not r <= self.radius or not k.valuation(k.sub(a, self.center)) <= self.radius:
+            if _join_radius(k, (a, r), (self.center, self.radius)) > self.radius:
                 raise DomainError("holes must sit inside the disc")
         for i in range(len(self.holes)):
             for j in range(i + 1, len(self.holes)):

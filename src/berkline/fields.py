@@ -123,7 +123,7 @@ class _IntKernels:
                 out[0] = self.add(out[0], self.mul(a, coeffs[1]))
             return out
         A, D = a.numerator, a.denominator  # over F_p, ``a`` and 1
-        if not A:
+        if not A or not count:
             return list(coeffs[:count])
         m, lower = self.char, self._lower
         cs, L = self._lift(coeffs)
@@ -209,7 +209,8 @@ class _IntKernels:
 
         Returns the first ``count`` rows as int dicts with no zero values,
         the scale of row 0 and ``D``; row ``i`` is at scale
-        ``scale // D**i``."""
+        ``scale // D**i``.  ``count`` is at least 1: with no pass the
+        rows would come back unshifted."""
         n, m = len(rows), self.char
         power = 1
         for i in range(count):
@@ -318,9 +319,6 @@ def _product_work(factors) -> int:
     terms than the pairs of terms that reach it or the span of the keys
     they reach.  A product of two factors costs exactly its pairs of
     terms."""
-    if len(factors) == 2:
-        return sum(map(len, factors[0])) * sum(map(len, factors[1]))
-
     def spans(factor):
         return [(min(row), max(row), len(row)) if row else None for row in factor]
 
@@ -849,9 +847,9 @@ class PuiseuxField:
         :func:`_from_int_keys` then turns the keys back into ``Fraction``
         and lowers the values, in one pass; the result is that of the
         generic sweep through ``add`` and ``mul``.  A constant, or a
-        shift by zero, comes back as it is.
+        shift by zero, comes back as it is, and ``count = 0`` as ``[]``.
         """
-        if not a or len(coeffs) < 2:
+        if not a or len(coeffs) < 2 or not count:
             return list(coeffs[:count])
         d, *keyed = self._sweep(coeffs, a, count)
         return _from_int_keys(self.base, d, *self.base.shift_keyed(*keyed, count))

@@ -13,8 +13,12 @@ seminorm handled here is presented through discs:
   answers upper bounds; operations that cannot be exact say so.
 
 Containment of discs is the tree order.  Any two discs are either
-nested or disjoint, which is why joins exist and paths are unique; all
-of the geometry below is elementary interval bookkeeping on exponents.
+nested or disjoint, which is why joins exist and paths are unique.  So
+every relation between ``x = E(a_x, r_x)`` and ``y = E(a_y, r_y)`` is
+read off one number, ``D(x, y) = max(r_x, r_y, |a_x - a_y|)``, the
+radius of their join: ``x <= y`` exactly when ``D = r_y``, ``x = y``
+when ``D = r_x = r_y``, and the join is ``E(a_x, D)``.  The rest of the
+geometry below is interval bookkeeping on exponents.
 """
 
 from __future__ import annotations
@@ -109,10 +113,9 @@ class ChainPoint(Frozen):
             if radius.is_zero:
                 raise DomainError("chain radii must be positive")
             if prev is not None:
-                pc, pr = prev
-                if not radius < pr:
+                if not radius < prev[1]:
                     raise DomainError("chain radii must strictly decrease")
-                if k.valuation(k.sub(center, pc)) > pr:
+                if _join_radius(k, (center, radius), prev) > prev[1]:
                     raise DomainError("chain discs must be nested")
             prev = (center, radius)
         # ``radius`` is now the last listed radius, the smallest, as they strictly decrease
@@ -156,10 +159,23 @@ def _anchor(x: Point, i: int = 0):
     return x.discs[i]
 
 
-def _same_field(x: Point, y) -> ValuedField:
-    if x.field != y.field:
+def _join_radius(k: ValuedField, disc, other) -> Magnitude:
+    """``D = max(r, s, |a - b|)`` for the discs ``(a, r)`` and ``(b, s)``
+    over ``k``: the radius of the smallest disc containing both.  Two
+    discs are nested or disjoint, so ``D`` decides every order question
+    between them: ``(a, r)`` lies in ``(b, s)`` exactly when ``D = s``."""
+    (a, r), (b, s) = disc, other
+    return mag_max(r, s, k.valuation(k.sub(a, b)))
+
+
+def _relate(x: Point, y: Point):
+    """``(k, (a_x, r_x), (a_y, r_y), D)`` for two points over one field
+    ``k``: their anchors and the radius ``D`` of their join."""
+    k = x.field
+    if k != y.field:
         raise DomainError("points belong to different coefficient fields")
-    return x.field
+    dx, dy = _anchor(x), _anchor(y)
+    return k, dx, dy, _join_radius(k, dx, dy)
 
 
 # ---------------------------------------------------------------------
@@ -272,43 +288,33 @@ def torus_retract(f: Poly, x: Point, t: Magnitude) -> Magnitude:
 
 def point_leq(x: Point, y: Point) -> bool:
     """Disc containment: does the disc of ``y`` contain the disc of ``x``?
+    It does exactly when the join radius ``D(x, y)`` is ``r_y``.
 
     Comparisons that involve a chain use its outermost listed disc and
     are therefore approximate.
     """
-    k = _same_field(x, y)
-    ax, rx = _anchor(x)
-    ay, ry = _anchor(y)
-    if not rx <= ry:
-        return False
-    return k.valuation(k.sub(ax, ay)) <= ry
+    _, _, (_, ry), d = _relate(x, y)
+    return d == ry
 
 
 def point_eq(x: Point, y: Point) -> bool:
-    k = _same_field(x, y)
-    ax, rx = _anchor(x)
-    ay, ry = _anchor(y)
-    if rx != ry:
-        return False
-    return k.valuation(k.sub(ax, ay)) <= rx
+    _, (_, rx), (_, ry), d = _relate(x, y)
+    return d == rx == ry
 
 
 def join(x: Point, y: Point) -> Point:
-    """Smallest disc point above both arguments.
+    """Smallest disc point above both arguments, ``E(a_x, D)``.
 
-    Returns one of the inputs unchanged when it already dominates the
-    other.  With chains involved the join is computed from outermost
-    listed discs (an upper approximation of the true join).
+    Returns an input unchanged when its radius is ``D``: it then
+    dominates the other.  With chains involved the join is computed from
+    outermost listed discs (an upper approximation of the true join).
     """
-    k = _same_field(x, y)
-    ax, rx = _anchor(x)
-    ay, ry = _anchor(y)
-    r = mag_max(rx, ry, k.valuation(k.sub(ax, ay)))
-    if r == rx:
+    k, (ax, rx), (_, ry), d = _relate(x, y)
+    if d == rx:
         return x
-    if r == ry:
+    if d == ry:
         return y
-    return DiscPoint(k, ax, r)
+    return DiscPoint(k, ax, d)
 
 
 @record
@@ -353,10 +359,7 @@ def path(x: Point, y: Point) -> Path:
     """
     if isinstance(x, ChainPoint) or isinstance(y, ChainPoint):
         raise DomainError("paths with chain endpoints are not supported")
-    k = _same_field(x, y)
-    ax, rx = _anchor(x)
-    ay, ry = _anchor(y)
-    rz = mag_max(rx, ry, k.valuation(k.sub(ax, ay)))
+    _, (ax, rx), (ay, ry), rz = _relate(x, y)
     ez = _radius_exponent_or_inf(rz)
     segments = []
     if rx != rz:
@@ -389,17 +392,15 @@ def direction(x: Point, y: Point):
         raise DomainError("directions are defined at disc points")
     if classify(x).type != 2:
         raise DomainError("directions need a type-2 base point")
-    k = _same_field(x, y)
-    if point_eq(x, y):
+    k, (ax, rx), (ay, ry), d = _relate(x, y)
+    if d == rx == ry:
         raise DomainError("no direction from a point to itself")
-    c = k.element_with_valuation(x.radius.exponent)
+    c = k.element_with_valuation(rx.exponent)
     if c is None:
         raise DomainError("no field element realizes this radius; direction undefined")
-    if not point_leq(y, x):
+    if d != rx:  # ``y`` lies outside the disc of ``x``
         return INFINITY_DIR
-    ay, _ = _anchor(y)
-    delta = k.sub(ay, x.center)
-    return k.residue_of_quotient(delta, c)
+    return k.residue_of_quotient(k.sub(ay, ax), c)
 
 
 # ---------------------------------------------------------------------
@@ -497,10 +498,9 @@ def convex_hull(points) -> SkeletonGraph:
 
     anchors = [_anchor(p) for p in pts]
     dist = [[r] * len(pts) for _, r in anchors]  # D(x, x) = r_x
-    for i, (a, r) in enumerate(anchors):
+    for i, disc in enumerate(anchors):
         for j in range(i):
-            b, s = anchors[j]
-            dist[i][j] = dist[j][i] = mag_max(r, s, k.valuation(k.sub(a, b)))
+            dist[i][j] = dist[j][i] = _join_radius(k, disc, anchors[j])
     texts = [k.format_element(a) for a, _ in anchors]
 
     found = []  # (point, radius, parent index, marked)

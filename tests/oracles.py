@@ -1,7 +1,8 @@
 """Reference implementations kept as independent oracles.
 
 Each one is the plain construction that a faster or shared library
-routine replaced; the tests compare the two on random inputs.
+routine replaced, or a classical closed form from root data that needs
+no Taylor shift; the tests compare the two on random inputs.
 """
 
 from dataclasses import dataclass
@@ -31,6 +32,7 @@ from berkline import (
     hasse_derivative,
     is_constant_times_square,
     join,
+    mag_max,
     point_eq,
     point_leq,
 )
@@ -177,6 +179,48 @@ def reference_torus_retract(f, x, t):
             best = term
         tpow = tpow * t
     return best
+
+
+def split_gauss_norm(k, c, roots, a, r):
+    """``|c| * prod max(|a - alpha_j|, r)``: the seminorm at ``E(a, r)``
+    of ``f = c * prod (T - alpha_j)`` with no Taylor shift.  Seminorms
+    are multiplicative and ``|T - alpha|`` there is ``max(|a - alpha|,
+    r)`` (Baker and Rumely, *Potential Theory and Dynamics on the
+    Berkovich Projective Line*, ch. 1-2), for ``r`` zero or irrational
+    and on trivially valued backends too."""
+    out = k.valuation(c)
+    for alpha in roots:
+        out = out * mag_max(k.valuation(k.sub(a, alpha)), r)
+    return out
+
+
+def split_torus_retract(k, c, roots, a, r, t):
+    """The sup of ``|f|`` over the disc of radius ``t`` around
+    ``E(a, r)``, for ``f`` as in :func:`split_gauss_norm`: the same
+    product with ``max(|a - alpha_j|, r, t)``."""
+    return split_gauss_norm(k, c, roots, a, mag_max(r, t))
+
+
+def legendre_reduction(k, lam):
+    """The reduction of the curve with Legendre parameter ``lam``, read
+    off ``j = 256 (l^2 - l + 1)^3 / (l^2 (l - 1)^2)``: multiplicative
+    exactly when ``v(j) < 0``, with cycle exponent ``-v(j)`` (Silverman,
+    *Advanced Topics in the Arithmetic of Elliptic Curves*, ch. V), and
+    otherwise good, ``j`` reducing to the residue of ``j``.  Returns
+    ``(True, -v(j))`` or ``(False, residue of j)``.
+
+    ``j`` is kept as its numerator and denominator, as a Puiseux field
+    inverts only monomials.  In the good case ``|l| = |l - 1| = 1`` (else
+    ``|j| > 1``), so the denominator is a unit and reduces."""
+    one = k.one
+    lam1 = k.sub(lam, one)
+    core = k.add(k.mul(lam, lam1), one)
+    num = k.mul(k.from_int(256), k.mul(core, k.mul(core, core)))
+    den = k.mul(k.mul(lam, lam), k.mul(lam1, lam1))
+    v_num, v_den = k.valuation(num), k.valuation(den)
+    if v_num > v_den:
+        return True, v_den.exponent - v_num.exponent
+    return False, k.residue_field.div(k.residue(num), k.residue(den))
 
 
 def synthetic_shift(k, coeffs, a) -> list:

@@ -24,17 +24,25 @@ from berkline import (
     Magnitude,
     Poly,
     TrivialField,
+    Type1Point,
     count_roots_in_disc,
+    eval_seminorm,
     fiber_count,
     newton_slopes,
     parse_field,
     parse_poly,
     taylor_shift,
+    torus_retract,
 )
 from berkline.fields import _keyed
 from berkline.polynomials import dominant_terms
 from helpers import rand_element, rand_fraction
-from oracles import reference_dominant_terms, reference_fiber_count
+from oracles import (
+    reference_dominant_terms,
+    reference_fiber_count,
+    split_gauss_norm,
+    split_torus_retract,
+)
 
 SELECTORS = ("padic:5", "padic:3", "puiseux:Q", "puiseux:F3", "puiseux:F5", "trivial:Q")
 
@@ -269,3 +277,38 @@ def test_root_count_matches_the_newton_polygon(selector):
         assert count == sum(1 for m in newton_slopes(taylor_shift(f, a)) if m <= r)
         counts.append(count)
     assert max(counts) >= 2 and min(counts) == 0
+
+
+# -- closed forms from root data -----------------------------------------
+
+
+@st.composite
+def _split_case(draw, field):
+    """``(c, roots, a, r, t)``: 1 to 5 roots, repeats allowed, a center
+    on a root, next to one or drawn afresh, ``r`` zero, rational or
+    irrational, and ``t`` positive."""
+    c = draw(_field_element(field).filter(bool))
+    roots = draw(st.lists(_field_element(field), min_size=1, max_size=5))
+    kind = draw(st.integers(0, 2))
+    a = draw(_field_element(field))
+    if kind < 2:
+        a = field.add(draw(st.sampled_from(roots)), a if kind else field.zero)
+    t = draw(_radius_of().filter(lambda m: not m.is_zero))
+    return c, roots, a, draw(_radius_of()), t
+
+
+@pytest.mark.parametrize("selector", SELECTORS + ("trivial:F7",))
+@settings(max_examples=30)
+@given(data=st.data())
+def test_seminorms_of_split_polynomials_are_products(selector, data):
+    """The seminorm and the torus retraction of ``c * prod (T - alpha_j)``
+    at ``E(a, r)`` are the closed forms of ``oracles.split_gauss_norm``
+    and ``oracles.split_torus_retract``, which need no Taylor shift."""
+    field = parse_field(selector)
+    c, roots, a, r, t = data.draw(_split_case(field))
+    f = Poly.constant(field, c)
+    for alpha in roots:
+        f = f * Poly.make(field, (field.neg(alpha), field.one))
+    x = Type1Point(field, a) if r.is_zero else DiscPoint(field, a, r)
+    assert eval_seminorm(f, x) == split_gauss_norm(field, c, roots, a, r)
+    assert torus_retract(f, x, t) == split_torus_retract(field, c, roots, a, r, t)

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from berkline import (
     BranchData,
@@ -29,13 +30,20 @@ from berkline import (
     format_point,
     genus,
     mobius_orbit,
+    parse_field,
     parse_poly,
     point_leq,
     tate_cycle_exponent,
 )
 from berkline.hyperelliptic import _roots_below
 from helpers import LSER, Q5, distinct_roots, rand_element, rand_fraction
-from oracles import pairwise_distinct, reference_cover_skeleton, schoolbook_product
+from oracles import (
+    legendre_reduction,
+    pairwise_distinct,
+    reference_cover_skeleton,
+    schoolbook_product,
+)
+from test_dominant_terms import SELECTORS, _field_element
 
 _QT = TrivialField(Rationals())
 _F3T = PuiseuxField(PrimeField(3))
@@ -476,6 +484,27 @@ def test_cycle_exponent_agrees_with_skeleton():
         assert isinstance(red, Multiplicative)
         cs = cover_skeleton(BranchData.from_roots(LSER, [LSER.zero, LSER.one, lam]))
         assert tate_cycle_exponent(cs) == red.cycle_exponent
+
+
+@pytest.mark.parametrize("selector", SELECTORS + ("trivial:F7",))
+@settings(max_examples=40)
+@given(data=st.data())
+def test_reduction_type_is_read_off_the_j_invariant(selector, data):
+    """The reduction matches ``oracles.legendre_reduction``, read off
+    ``v(j)`` alone: the type, and the cycle exponent or the residue of
+    ``j``.  Parameters are drawn afresh, or as ``n + x`` with ``|x| < 1``
+    for ``n`` of 1 (near 1), 2 and 3."""
+    field = parse_field(selector)
+    lam = data.draw(_field_element(field))
+    n = data.draw(st.integers(0, 3))
+    if n:
+        small = field.valuation(lam) < Magnitude.unit()
+        lam = field.add(lam if small else field.zero, field.from_int(n))
+    assume(not field.is_zero(lam) and not field.is_zero(field.sub(lam, field.one)))
+    got = elliptic_reduction(field, lam)
+    multiplicative, value = legendre_reduction(field, lam)
+    assert isinstance(got, Multiplicative) == multiplicative
+    assert (got.cycle_exponent if multiplicative else got.j_residue) == value
 
 
 # -- convergence sanity --------------------------------------------------

@@ -28,6 +28,7 @@ from berkline import (
     PuiseuxField,
     Rationals,
     TrivialField,
+    parse_field,
     parse_poly,
     taylor_shift,
 )
@@ -147,6 +148,27 @@ def test_zero_polynomial_and_zero_shift(name):
         cs = [field.from_int(i + 1) for i in range(degree + 1)]
         assert field.taylor_shift_coeffs(cs, field.zero, len(cs)) == cs
         assert Poly.make(field, cs).evaluate(field.zero) == cs[0]
+
+
+@pytest.mark.parametrize("selector", ["padic:5", "trivial:F7", "puiseux:Q", "puiseux:F5"])
+def test_a_shift_returns_exactly_count_coefficients(selector):
+    """Every ``count`` from 0 to ``n`` gives the first ``count``
+    coefficients of the full shift, ``[]`` for 0: for 1, 2 (the direct
+    fold) and 3 to 5 coefficients (the integer sweeps), shifted by zero
+    and by two nonzero centers."""
+    field = parse_field(selector)
+    el = field.parse_element
+    puiseux = isinstance(field, PuiseuxField)
+    coeffs = [el("t^(-1)+3" if puiseux else "3"), el("2"), el("-1"), field.zero, el("1")]
+    other = "t^(1/2)+2" if puiseux else "4" if field.char else "1/3"
+    centers = [field.zero, el("2"), el(other)]
+    for n in range(1, len(coeffs) + 1):
+        for a in centers:
+            full = field.taylor_shift_coeffs(coeffs[:n], a, n)
+            assert full == synthetic_shift(field, coeffs[:n], a)
+            for count in range(n + 1):
+                got = field.taylor_shift_coeffs(coeffs[:n], a, count)
+                assert got == full[:count], (n, a, count)
 
 
 def test_integer_kernels_do_not_touch_fraction_arithmetic(monkeypatch):

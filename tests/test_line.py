@@ -34,6 +34,7 @@ from berkline import (
     eval_seminorm,
     format_point,
     join,
+    mag_max,
     parse_field,
     parse_point,
     parse_poly,
@@ -604,7 +605,8 @@ def test_retraction_ties_keep_the_last_join():
 @pytest.mark.parametrize("field", [Q5, LSER], ids=["padic5", "puiseuxQ"])
 def test_tree_functions_take_one_valuation_per_question(field):
     """``path`` takes one valuation, whatever the ends: disjoint, nested,
-    equal, two centers of one disc, type 1.  ``top_vertex`` takes none,
+    equal, two centers of one disc, type 1, and ``point_leq``,
+    ``point_eq`` and ``join`` at most one.  ``top_vertex`` takes none,
     and ``retract_to_hull`` of a point inside the top disc one per
     honest vertex (its joins) plus one (the top disc test)."""
     calls = []
@@ -636,12 +638,65 @@ def test_tree_functions_take_one_valuation_per_question(field):
             calls.clear()
             path(p(a), p(b))
             assert len(calls) == 1, (a, b)
+            for relation in (point_leq, point_eq, join):
+                for u, v in ((a, b), (b, a)):
+                    calls.clear()
+                    relation(p(u), p(v))
+                    assert len(calls) <= 1, (relation.__name__, u, v)
         calls.clear()
         top_vertex(g)
         assert not calls
         retract_to_hull(x, g)
         assert len(calls) == len(honest) + 1
     assert len(honest) == 9
+
+
+@st.composite
+def _point_pair(draw, field):
+    """Two points that are not chains, at one center or a drawn element
+    apart.  Each is of type 1 or a disc of a drawn radius, of the
+    distance of the centers or (the second) of the first's radius, so
+    that equal, nested and disjoint pairs and ties all come up."""
+    ax = draw(_element_of(field))
+    ay = field.add(ax, draw(_element_of(field))) if draw(st.booleans()) else ax
+    apart = field.valuation(field.sub(ax, ay))
+    pts = []
+    for a in (ax, ay):
+        kind = draw(st.integers(0, 3))
+        if kind == 0:
+            pts.append(Type1Point(field, a))
+            continue
+        r = draw(_radius_of())
+        if kind == 2 and not apart.is_zero:
+            r = apart
+        elif kind == 3 and pts and isinstance(pts[0], DiscPoint):
+            r = pts[0].radius
+        pts.append(DiscPoint(field, a, r))
+    return pts
+
+
+@pytest.mark.parametrize("selector", ["padic:5", "puiseux:Q", "puiseux:F5", "trivial:F7"])
+@settings(max_examples=100)
+@given(data=st.data())
+def test_tree_relations_match_the_seminorms(selector, data):
+    """The tree relations read off the seminorms, which come from
+    ``dominant_terms`` and not from the join radius: ``x <= y`` exactly
+    when ``|T - a_y|_x <= |T - a_y|_y``, ``x = y`` when that holds both
+    ways, and ``|T - b|_join(x, y) = max(|T - b|_x, |T - b|_y)`` at the
+    two centers and at a drawn ``b``."""
+    field = parse_field(selector)
+    x, y = data.draw(_point_pair(field))
+
+    def norm(p, b):
+        return eval_seminorm(Poly.make(field, (field.neg(b), field.one)), p)
+
+    below = norm(x, y.center) <= norm(y, y.center)
+    above = norm(y, x.center) <= norm(x, x.center)
+    assert point_leq(x, y) == below and point_leq(y, x) == above
+    assert point_eq(x, y) == point_eq(y, x) == (below and above)
+    z = join(x, y)
+    for b in (x.center, y.center, data.draw(_element_of(field))):
+        assert norm(z, b) == mag_max(norm(x, b), norm(y, b))
 
 
 # -- text forms --------------------------------------------------------
