@@ -7,6 +7,10 @@ rule.  All JSON output is deterministic: keys sorted, exact values as
 strings or ints, floats only in fields named "approx" which are display
 only and never fed back into computations.
 
+argparse reads a value that begins with ``-`` as an option, unless it
+is a plain negative number such as ``-1``.  Join such a value to its
+flag: ``--poly=-T+1``, ``--x=-7/18``, ``--roots=-1,2``.
+
 Each subcommand ``_cmd_<name>(args, field)`` returns its answer: a dict,
 or the DOT text of ``hull --dot`` and ``hyper --dot``.  :func:`run`
 parses ``--field``, when the subcommand has one, before the other

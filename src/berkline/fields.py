@@ -649,7 +649,8 @@ def _parse_prime(digits: str, rule: str, original: str) -> int:
 class _OverBase:
     """A base field ``self.base`` with a valuation added: its element
     arithmetic and polynomial kernels are the base's own, bound from the
-    base at construction."""
+    base at construction, and a disc's center is trimmed through the
+    valuation alone."""
 
     _BASE_MEMBERS = (
         "char", "zero", "one", "from_int", "add", "sub", "mul", "neg", "inv", "div",
@@ -667,6 +668,13 @@ class _OverBase:
         g = self.base.taylor_shift_coeffs(coeffs, a, len(coeffs))
         is_zero, valuation = self.base.is_zero, self.valuation
         return [None if is_zero(c) else valuation(c).exponent for c in g], g.__getitem__
+
+    def trim_center(self, a, r: Magnitude):
+        """A center of ``E(a, r)``: zero when ``|a| <= r``, else ``a``.
+
+        Exact because ``|a - 0| <= r`` makes ``E(a, r) = E(0, r)``.
+        """
+        return self.zero if self.valuation(a) <= r else a
 
 
 @record
@@ -704,20 +712,9 @@ class PAdicField(_OverBase):
             return MAG_ZERO
         return int_magnitude(_vp(x, self.p))
 
-    def trim_center(self, a, r: Magnitude):
-        """A center of ``E(a, r)``: zero when ``|a| <= r``, else ``a``.
-
-        Exact because ``|a - 0| <= r`` makes ``E(a, r) = E(0, r)``.
-        """
-        if a == 0 or r.is_zero:
-            return a
-        return a if Exponent(_vp(a, self.p)) < r.exponent else self.zero
-
     def residue(self, x) -> int:
         """Image in F_p of an element with ``|x| <= 1``."""
         x = Fraction(x)
-        if x == 0:
-            return 0
         val = self.valuation(x)
         if val > Magnitude.unit():
             raise DomainError("not integral: magnitude exceeds one")
@@ -804,10 +801,7 @@ class PuiseuxField:
         return ((Fraction(g), c),)
 
     def from_int(self, n: int) -> PuiseuxElem:
-        c = self.base.from_int(n)
-        if self.base.is_zero(c):
-            return ()
-        return ((Fraction(0), c),)
+        return self.monomial(0, self.base.from_int(n))
 
     def _normalize(self, terms) -> PuiseuxElem:
         out = [(g, c) for g, c in sorted(terms.items()) if not self.base.is_zero(c)]
@@ -989,13 +983,7 @@ class PuiseuxField:
         return Magnitude.finite(Exponent(x[0][0]))
 
     def residue(self, x: PuiseuxElem):
-        if not x:
-            return self.base.zero
-        if x[0][0] < 0:
-            raise DomainError("not integral: magnitude exceeds one")
-        if x[0][0] > 0:
-            return self.base.zero
-        return x[0][1]
+        return self.residue_of_quotient(x, self.one)
 
     def residue_of_quotient(self, x: PuiseuxElem, m: PuiseuxElem):
         """Residue of ``x/m`` for ``|x| <= |m|``, without forming ``x/m``.
@@ -1048,12 +1036,8 @@ class PuiseuxField:
         return out
 
     def parse_element(self, text: str) -> PuiseuxElem:
-        acc: dict = {}
-        for term in split_top("".join(text.split()), "+-", "puiseux element", text):
-            g, c = self._parse_term(term, text)
-            c = self.base.add(acc.get(g, self.base.zero), c)
-            acc[g] = c
-        return self._normalize(acc)
+        terms = split_top("".join(text.split()), "+-", "puiseux element", text)
+        return self.add((), [self._parse_term(term, text) for term in terms])
 
     def _parse_term(self, term: str, original: str):
         m = _PUISEUX_TERM.fullmatch(term)
@@ -1102,10 +1086,6 @@ class TrivialField(_OverBase):
 
     def residue(self, x):
         return x
-
-    def trim_center(self, a, r: Magnitude):
-        """Zero when ``|a| <= r`` (then ``E(a, r) = E(0, r)``), else ``a``."""
-        return self.zero if self.valuation(a) <= r else a
 
     def residue_of_quotient(self, x, m):
         if self.base.is_zero(m):

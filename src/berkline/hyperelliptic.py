@@ -4,9 +4,9 @@ Everything is driven by where the branch points (the roots, plus the
 point at infinity when the degree is odd) sit in the tree of discs:
 
 * the fiber over a disc point has 2 points exactly when f admits a
-  square root in the local ring there, detected through residue
-  polynomials (type 2) or through the parity of the dominant term
-  (type 3);
+  square root in the local ring there, detected through its residue
+  polynomial, which at a type-3 point is the one monomial of the
+  dominant term;
 * the skeleton of the cover is the convex hull of the branch points,
   each vertex and edge decorated with its fiber count, computed by
   parity counts of branch points per direction;
@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import List, Tuple, Union
 
 from .errors import MAX_DEGREE, DomainError, record
-from .exponents import INF, Exponent
+from .exponents import INF, Exponent, add_lengths
 from .fields import ValuedField
 from .line import (
     Point,
@@ -97,47 +97,43 @@ def fiber_count(bd: BranchData, x: Point, strict_squares: bool = False):
     if bd.f.field != x.field:
         raise DomainError("cover and point fields differ")
     k = bd.f.field
-    e_min, dominant, lowest = dominant_terms(bd.f, x.center, x.radius)
+    _, dominant, lowest = dominant_terms(bd.f, x.center, x.radius)
+    if t == 2 and k.element_with_valuation(x.radius.exponent) is None:
+        raise DomainError("no field element realizes this radius")
 
     def leading_residue(c):
         # the residue of g_i, from its lowest term c, over the canonical
         # element of its magnitude
         return k.residue_of_quotient(c, k.element_with_valuation(k.valuation(c).exponent))
 
-    if t == 3:
-        # one dominant term g_i * T**i: indices i != j tie only where
-        # (i - j) * e_r = v(g_j) - v(g_i), and a type-3 e_r is irrational
-        # (nonzero over a trivially valued field, where every v(g_i) = 0).
-        # It is a square when i is even and, over the field itself, the
-        # unit part of g_i is a square
-        if dominant[0] % 2 == 1:
-            return 1
-        e_square = k.valuation(lowest[0]).exponent
-    else:
-        # Type 2: rescale the variable so the disc becomes the unit disc
-        # and divide out the largest term; the residue polynomial is zero
-        # off the dominant indices and the leading residue of g_i on them.
-        # Two preimages exactly when it is a constant times a square,
-        # which over a perfect residue field means every root multiplicity
-        # of its squarefree decomposition is even.
-        if k.element_with_valuation(x.radius.exponent) is None:
-            raise DomainError("no field element realizes this radius")
-        rf = k.residue_field
-        res_coeffs = [rf.zero] * (dominant[-1] + 1)
-        for i, c in zip(dominant, lowest):
-            res_coeffs[i] = leading_residue(c)
-        if not is_constant_times_square(Poly.make(rf, res_coeffs)):
-            return 1
-        e_square = e_min
+    # Rescale the variable so the disc becomes the unit disc and divide
+    # out the largest term; the residue polynomial is zero off the
+    # dominant indices and the leading residue of g_i on them.  At a
+    # type-3 point it is one monomial: indices i != j tie only where
+    # (i - j) * e_r = v(g_j) - v(g_i), and a type-3 e_r is irrational
+    # (nonzero over a trivially valued field, where every v(g_i) = 0).
+    # Two preimages exactly when it is a constant times a square, which
+    # over a perfect residue field means every root multiplicity of its
+    # squarefree decomposition is even.
+    rf = k.residue_field
+    res_coeffs = [rf.zero] * (dominant[-1] + 1)
+    for i, c in zip(dominant, lowest):
+        res_coeffs[i] = leading_residue(c)
+    if not is_constant_times_square(Poly.make(rf, res_coeffs)):
+        return 1
     if not strict_squares:
         return 2
-    # rho**e_square is a square in the value group exactly when some
-    # element has magnitude rho**(e_square/2).  The factors of the
-    # residue polynomial are monic, so the constant in front of the
-    # square is its leading coefficient, that of the last dominant term.
-    if k.element_with_valuation(e_square.scale(Fraction(1, 2))) is None:
+    # Over the field itself the constant in front of the square must be
+    # a square.  The factors of the residue polynomial are monic, so it
+    # comes from g_j, j the last dominant index: the leading residue of
+    # g_j must be a square, and |g_j| one in the value group, as some
+    # element has magnitude rho**(v(g_j)/2).  At type 2, where j is even
+    # and r is in the value group, that is so exactly when
+    # rho**e_min = |g_j| * r**j is a square.
+    c = lowest[-1]
+    if k.element_with_valuation(k.valuation(c).exponent.scale(Fraction(1, 2))) is None:
         return None
-    return 2 if k.residue_field.is_square(leading_residue(lowest[-1])) else None
+    return 2 if rf.is_square(leading_residue(c)) else None
 
 
 # ---------------------------------------------------------------------
@@ -245,11 +241,7 @@ def tate_cycle_exponent(cs: CoverSkeleton) -> Exponent:
     """
     if cs.betti != 1:
         raise DomainError("cycle extraction needs first Betti number 1")
-    total = Exponent(0)
-    for e, is_split in zip(cs.base.edges, cs.edge_split):
-        if is_split:
-            total = total + e.length
-    return total.scale(2)
+    return add_lengths(*[e.length for e, s in zip(cs.base.edges, cs.edge_split) if s]).scale(2)
 
 
 # ---------------------------------------------------------------------

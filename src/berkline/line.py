@@ -333,8 +333,7 @@ class PathSegment:
     def length(self) -> Length:
         if self.e_from is INF or self.e_to is INF:
             return INF
-        d = self.e_from - self.e_to
-        return -d if d.sign() < 0 else d
+        return abs(self.e_from - self.e_to)
 
 
 @record

@@ -335,8 +335,6 @@ def poly_divmod(f: Poly, g: Poly):
     lead_inv = k.inv(g.leading_coefficient())
     rem = list(f.coeffs)
     dq = len(f.coeffs) - len(g.coeffs)
-    if dq < 0:
-        return Poly(k, ()), f
     quo = [k.zero] * (dq + 1)
     for i in range(dq, -1, -1):
         c = rem[i + g.degree]
@@ -352,8 +350,6 @@ def poly_divmod(f: Poly, g: Poly):
 def poly_gcd(f: Poly, g: Poly) -> Poly:
     while not g.is_zero:
         f, g = g, poly_divmod(f, g)[1]
-    if f.is_zero:
-        return f
     return f.monic()
 
 
@@ -414,7 +410,7 @@ def squarefree_part(f: Poly) -> Poly:
     out = Poly.constant(f.field, f.field.one)
     for g, _ in squarefree_decomposition(f):
         out = out * g
-    return out.monic() if out.degree >= 1 else out
+    return out
 
 
 def is_constant_times_square(f: Poly) -> bool:

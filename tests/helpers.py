@@ -17,6 +17,7 @@ from berkline import (
     Poly,
     PuiseuxField,
     Rationals,
+    TrivialField,
     Type1Point,
 )
 
@@ -54,9 +55,17 @@ def rand_puiseux_element(rng: random.Random, field: PuiseuxField, nonzero=False,
     return acc
 
 
+def rand_trivial_element(rng: random.Random, field: TrivialField, nonzero=False):
+    base = field.base
+    x = base.div(base.from_int(rng.randint(-9, 9)), base.from_int(rng.choice([1, 2, 4])))
+    return base.one if nonzero and base.is_zero(x) else x
+
+
 def rand_element(rng: random.Random, field, nonzero=False):
     if isinstance(field, PAdicField):
         return rand_padic_element(rng, field, nonzero)
+    if isinstance(field, TrivialField):
+        return rand_trivial_element(rng, field, nonzero)
     return rand_puiseux_element(rng, field, nonzero)
 
 

@@ -180,6 +180,25 @@ def test_unknown_subcommand_exits_2():
     assert "unrecognized arguments: --json" in err
 
 
+def test_values_that_begin_with_a_minus_take_the_equals_form():
+    """argparse reads a value such as ``-T+1`` after ``--poly`` as an
+    option of its own (a plain negative number excepted); ``--poly=-T+1``
+    hands it over whole, and answers as the same value spelt without the
+    leading minus."""
+    cases = [
+        (["eval", "--field", "padic:5"], "--poly", "-T+1", "1-T", ["pt1(0)"]),
+        (["nadic", "--n", "12"], "--x", "-7/18", "7/18", []),
+        (["hyper", "--field", "padic:5"], "--roots", "-1,2", "2,-1", []),
+    ]
+    for head, flag, value, same, tail in cases:
+        code, out, err = invoke([*head, flag, value, *tail])
+        assert (code, out) == (2, "")
+        assert f"argument {flag}: expected one argument" in err
+        code, out, err = invoke([*head, f"{flag}={value}", *tail])
+        assert (code, err) == (0, "")
+        assert out == invoke([*head, flag, same, *tail])[1]
+
+
 SUBCOMMANDS = [argv[0] for argv, _ in FIXTURES]
 
 

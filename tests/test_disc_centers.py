@@ -19,14 +19,23 @@ from berkline import (
     Exponent,
     Magnitude,
     PAdicField,
+    TrivialField,
     count_roots_in_disc,
     eval_seminorm,
     fiber_count,
     newton_slopes,
+    parse_field,
     taylor_shift,
 )
 from berkline.fields import PuiseuxField, _OverBase
-from helpers import BACKENDS, LSER, Q5, distinct_roots, rand_element, rand_poly, rand_radius
+from helpers import LSER, Q5, distinct_roots, rand_element, rand_poly, rand_radius
+from test_dominant_terms import SELECTORS
+
+# the selectors of test_dominant_terms and trivial:F7, with ids such as "padic5"
+FIELDS = pytest.mark.parametrize(
+    "field", [parse_field(s) for s in SELECTORS + ("trivial:F7",)],
+    ids=lambda field: field.selector.replace(":", ""),
+)
 
 
 def _ceil(e: Exponent) -> int:
@@ -39,12 +48,15 @@ def _ceil(e: Exponent) -> int:
 
 def _small(rng, field, r: Magnitude):
     """A random element ``d`` with ``|d| <= r`` (zero included)."""
+    if isinstance(field, TrivialField):
+        # every nonzero element has magnitude one
+        return rand_element(rng, field) if Magnitude.unit() <= r else field.zero
     e = r.exponent
     low = _ceil(e)
     if isinstance(field, PAdicField):
         if rng.random() < 0.15:
             return field.zero
-        unit = Fraction(rng.randint(-30, 30), rng.choice([1, 2, 3, 7]))
+        unit = Fraction(rng.randint(-30, 30), rng.choice([q for q in (1, 2, 3, 7) if q % field.p]))
         return unit * Fraction(field.p) ** (low + rng.randint(0, 2))
     gammas = {low + Fraction(rng.randint(0, 6), rng.choice([1, 2, 3])) for _ in range(3)}
     if e.is_rational():
@@ -90,7 +102,7 @@ def _cases(rng, field, count, integer_every=0):
         yield a, field.add(a, _small(rng, field, r)), r
 
 
-@pytest.mark.parametrize("field", BACKENDS, ids=["padic5", "puiseuxQ"])
+@FIELDS
 def test_seminorm_and_root_count_depend_on_the_disc_alone(field, monkeypatch):
     rng = random.Random(61)
     rows = []
@@ -116,7 +128,7 @@ def test_seminorm_and_root_count_depend_on_the_disc_alone(field, monkeypatch):
         assert count == sum(1 for m in newton_slopes(taylor_shift(f, a)) if m <= r)
 
 
-@pytest.mark.parametrize("field", BACKENDS, ids=["padic5", "puiseuxQ"])
+@FIELDS
 def test_fiber_count_depends_on_the_disc_alone(field, monkeypatch):
     rng = random.Random(67)
     rows = []
@@ -166,10 +178,15 @@ def _run_disc_queries(field, center, r):
 
 def test_center_inside_the_disc_runs_no_shift(monkeypatch):
     calls = _count_shifts(monkeypatch)
-    unit = Magnitude.finite(Exponent(1))
-    _run_disc_queries(LSER, LSER.parse_element("t^(2)+3*t^(5/2)"), unit)
-    _run_disc_queries(LSER, LSER.parse_element("t-t^(3)"), unit)  # |center| = r
-    _run_disc_queries(Q5, Fraction(25, 3), unit)
+    rho = Magnitude.finite(Exponent(1))
+    _run_disc_queries(LSER, LSER.parse_element("t^(2)+3*t^(5/2)"), rho)
+    _run_disc_queries(LSER, LSER.parse_element("t-t^(3)"), rho)  # |center| = r
+    _run_disc_queries(Q5, Fraction(25, 3), rho)
+    # |center| = r, where trimming by |a| < r would still shift
+    _run_disc_queries(Q5, Fraction(5, 3), rho)
+    for selector in ("trivial:Q", "trivial:F7"):
+        field = parse_field(selector)
+        _run_disc_queries(field, field.from_int(2), Magnitude.unit())
     assert calls == []
 
 

@@ -5,6 +5,7 @@ listing the fields, equality within one class by the field tuple with
 the hash of that tuple (identity for points), and ``AttributeError`` on
 assignment.  The expected strings are those the dataclasses printed."""
 
+import operator
 import subprocess
 import sys
 from fractions import Fraction
@@ -90,6 +91,28 @@ def test_equality_and_hash_by_field_tuple():
     # an explicit __eq__ is kept; the hash stays that of the field tuple
     assert RealMag.of(5, 0) == RealMag.of(1, 0)
     assert hash(RealMag.of(5, 0)) == hash((Fraction(5), Fraction(0)))
+
+
+def test_operands_of_other_types_are_left_to_python():
+    """Each operator returns ``NotImplemented`` for an operand of another
+    type, so Python tries the reflected method and then falls back:
+    ``==`` to identity, the others to ``TypeError``."""
+    cases = [
+        (operator.sub, Exponent(1), 1, TypeError),
+        (operator.lt, Exponent(1), 1, TypeError),
+        (operator.le, Exponent(1), 1, TypeError),
+        (operator.gt, Exponent(1), 1, TypeError),
+        (operator.ge, Exponent(1), 1, TypeError),
+        (operator.eq, Magnitude.unit(), 0, False),
+        (operator.eq, F, 1, False),
+        (operator.eq, RealMag.of(2, 1), 2, False),
+    ]
+    for op, x, y, want in cases:
+        if want is TypeError:
+            with pytest.raises(TypeError):
+                op(x, y)
+        else:
+            assert op(x, y) is want
 
 
 def test_points_compare_by_identity():
